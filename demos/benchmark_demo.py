@@ -3,7 +3,7 @@
 The service standard staffs each step so a fixed fraction of demand is
 served; the economic standard staffs each step to its marginal break-even
 point. Both targets are then rounded onto a feasible shift plan by
-minimizing total absolute deviation. Direct optimization should dominate
+minimizing total squared deviation. Direct optimization should dominate
 both at every fleet size.
 """
 

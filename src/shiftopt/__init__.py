@@ -25,7 +25,6 @@ from .domain import (
 from .milp import (
     MilpModel,
     MilpSolution,
-    SolveOptions,
     SolveStatus,
     export_lp,
     lp_solve,
@@ -37,7 +36,6 @@ from .piecewise import (
     LinearPiece,
     concavify_reward,
     convexify_sq_dev,
-    eval_pl,
 )
 from .planner import (
     EconomicStandard,

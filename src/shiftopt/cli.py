@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -19,8 +20,9 @@ import tempfile
 import numpy as np
 
 from . import benchmark, planner, roster as rostering
+from .benchmark import AgnosticOptimum
 from .domain import RewardParams, Scenario, ShiftPlan, demand_vector, reward
-from .milp import SolveOptions, export_lp
+from .milp import export_lp
 from .planner import EconomicStandard, PlanningError, ServiceStandard
 
 __all__ = ["main", "read_csv"]
@@ -101,26 +103,26 @@ def read_csv(path: str) -> tuple[list[str], list[list[float]]]:
     return header, [[cell(v) for v in row] for row in body]
 
 
-def _gap_or_one(plan_vec: ShiftPlan, scenario: Scenario) -> float:
-    """Relative gap; the degenerate case r* = 0 (no budget) is reported as 1."""
-    opt = benchmark.agnostic_optimum_closed_form(scenario)
+def _agnostic(scenario: Scenario) -> AgnosticOptimum:
+    """Shift-agnostic optimum; with no demand at all, r* = 0 and y* = 0."""
+    if not demand_vector(scenario).any():
+        return AgnosticOptimum(y_star=np.zeros(scenario.T), r_star=0.0, lam=scenario.a)
+    return benchmark.agnostic_optimum_closed_form(scenario)
+
+
+def _gap_or_one(reward_value: float, opt: AgnosticOptimum) -> float:
+    """Relative gap; the degenerate case r* = 0 (no budget or no demand) is reported as 1."""
     if opt.r_star <= 0:
         return 1.0
-    return benchmark.relative_gap(plan_vec, scenario).delta
+    return (opt.r_star - reward_value) / opt.r_star
 
 
-def _solve_opts(args) -> SolveOptions:
-    if args.gap is not None:
-        return SolveOptions(rel_gap=args.gap)
-    return SolveOptions()
-
-
-def _cmd_plan(config: dict, args) -> dict[str, str]:
+def _cmd_plan(config: dict) -> dict[str, str]:
     scenario: Scenario = config["_scenario"]
-    result = planner.plan(scenario, _solve_opts(args))
-    opt = benchmark.agnostic_optimum_closed_form(scenario)
+    result = planner.plan(scenario)
+    opt = _agnostic(scenario)
     d = demand_vector(scenario)
-    gap = 1.0 if opt.r_star <= 0 else (opt.r_star - result.true_reward) / opt.r_star
+    gap = _gap_or_one(result.true_reward, opt)
     plan_rows = [[t, int(result.plan.x[t - 1])] for t in range(1, scenario.T + 1)]
     supply_rows = [
         [
@@ -158,19 +160,7 @@ def _sweep_scenarios(config: dict) -> list[tuple[float, Scenario]]:
         raise ConfigError("sweep_values must be a non-empty list of positive numbers")
     out = []
     for v in values:
-        fields = {
-            "T": base.T,
-            "N": base.N,
-            "s": base.s,
-            "delta": base.delta,
-            "beta": base.beta,
-            "d_max": base.d_max,
-            "a": base.a,
-            "c_veh": base.c_veh,
-            "demand_model": base.demand_model,
-            "demand": base.demand,
-            "boundary": base.boundary,
-        }
+        fields = {}
         if kind == "sweep_drivers":
             fields["N"] = int(v)
             per_driver = config.get("d_max_per_driver")
@@ -194,17 +184,17 @@ def _sweep_scenarios(config: dict) -> list[tuple[float, Scenario]]:
             fields["delta"] = int(v)
             fields["N"] = work // int(v)
             fields["c_veh"] = max(base.c_veh, fields["N"])
-        out.append((float(v), Scenario(**fields)))
+        out.append((float(v), dataclasses.replace(base, **fields)))
     return out
 
 
-def _cmd_sweep(config: dict, args) -> dict[str, str]:
+def _cmd_sweep(config: dict) -> dict[str, str]:
     rows = []
     supply_rows = []
     for value, scenario in _sweep_scenarios(config):
-        result = planner.plan(scenario, _solve_opts(args))
-        opt = benchmark.agnostic_optimum_closed_form(scenario)
-        gap = (opt.r_star - result.true_reward) / opt.r_star
+        result = planner.plan(scenario)
+        opt = _agnostic(scenario)
+        gap = _gap_or_one(result.true_reward, opt)
         rows.append([value, gap, result.true_reward, opt.r_star, result.nodes])
         norm = float(scenario.working_time)
         for t in range(1, scenario.T + 1):
@@ -230,22 +220,10 @@ def _compare_scenario(config: dict, n: int) -> Scenario:
     base: Scenario = config["_scenario"]
     per_driver = config.get("d_max_per_driver")
     d_max = per_driver * n if per_driver is not None else base.d_max
-    return Scenario(
-        T=base.T,
-        N=n,
-        s=base.s,
-        delta=base.delta,
-        beta=base.beta,
-        d_max=d_max,
-        a=base.a,
-        c_veh=max(base.c_veh, n),
-        demand_model=base.demand_model,
-        demand=base.demand,
-        boundary=base.boundary,
-    )
+    return dataclasses.replace(base, N=n, d_max=d_max, c_veh=max(base.c_veh, n))
 
 
-def _cmd_compare(config: dict, args) -> dict[str, str]:
+def _cmd_compare(config: dict) -> dict[str, str]:
     values = config.get("sweep_values")
     if not values:
         raise ConfigError("compare_baselines needs sweep_values (driver counts)")
@@ -258,43 +236,38 @@ def _cmd_compare(config: dict, args) -> dict[str, str]:
     opts_cost = config.get("robustness_costs", [0.5, 1.0, 1.5])
     rows = []
     robust_rows = []
-    opts = _solve_opts(args)
     for n in values:
         scenario = _compare_scenario(config, int(n))
         if scenario.N == 0 or scenario.d_max == 0:
             rows.append([int(n), 1.0, 1.0, 1.0])
             continue
-        ours = planner.plan(scenario, opts)
-        service = planner.plan_baseline(scenario, ServiceStandard(c_frac), opts)
-        economic = planner.plan_baseline(scenario, EconomicStandard(c_cost), opts)
+        opt = _agnostic(scenario)
+        ours = planner.plan(scenario)
+        service = planner.plan_baseline(scenario, ServiceStandard(c_frac))
+        economic = planner.plan_baseline(scenario, EconomicStandard(c_cost))
         rows.append(
-            [
-                int(n),
-                _gap_or_one(ours.plan, scenario),
-                _gap_or_one(service.plan, scenario),
-                _gap_or_one(economic.plan, scenario),
-            ]
+            [int(n)] + [_gap_or_one(r.true_reward, opt) for r in (ours, service, economic)]
         )
         for c in opts_frac:
-            res = planner.plan_baseline(scenario, ServiceStandard(float(c)), opts)
-            robust_rows.append(["service", float(c), int(n), _gap_or_one(res.plan, scenario)])
+            res = planner.plan_baseline(scenario, ServiceStandard(float(c)))
+            robust_rows.append(["service", float(c), int(n), _gap_or_one(res.true_reward, opt)])
         for c in opts_cost:
-            res = planner.plan_baseline(scenario, EconomicStandard(float(c)), opts)
-            robust_rows.append(["economic", float(c), int(n), _gap_or_one(res.plan, scenario)])
+            res = planner.plan_baseline(scenario, EconomicStandard(float(c)))
+            robust_rows.append(["economic", float(c), int(n), _gap_or_one(res.true_reward, opt)])
     return {
         "compare.csv": _csv_text(["N", "gap_ours", "gap_service", "gap_economic"], rows),
         "robustness.csv": _csv_text(["standard", "c", "N", "relative_gap"], robust_rows),
     }
 
 
-def _cmd_roster(config: dict, args) -> dict[str, str]:
+def _cmd_roster(config: dict) -> dict[str, str]:
     scenario: Scenario = config["_scenario"]
     if "plan" in config:
         plan_vec = ShiftPlan(x=np.asarray(config["plan"]))
         if len(plan_vec) != scenario.T:
             raise ConfigError("plan vector length must equal T")
     else:
-        plan_vec = planner.plan(scenario, _solve_opts(args)).plan
+        plan_vec = planner.plan(scenario).plan
     try:
         assigned = rostering.greedy_assign(plan_vec, scenario)
         balanced = rostering.rebalance(assigned, scenario.s)
@@ -306,7 +279,7 @@ def _cmd_roster(config: dict, args) -> dict[str, str]:
     return {"roster.csv": rostering.roster_to_csv(balanced, scenario)}
 
 
-def _cmd_export_lp(config: dict, args) -> dict[str, str]:
+def _cmd_export_lp(config: dict) -> dict[str, str]:
     scenario: Scenario = config["_scenario"]
     return {"model.lp": export_lp(planner.build_reward_mip(scenario))}
 
@@ -342,8 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized runs")
-        p.add_argument("--gap", type=float, default=None, help="relative MIP gap")
     return parser
 
 
@@ -355,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(
                 f"config kind {config['kind']!r} does not match command {args.command!r}"
             )
-        files = _COMMANDS[args.command](config, args)
+        files = _COMMANDS[args.command](config)
         _write_all(args.out, files)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,9 +9,10 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 __all__ = [
     "Boundary",
@@ -25,6 +26,7 @@ __all__ = [
     "reward",
     "supply_curve",
     "total_reward",
+    "window_matrix",
 ]
 
 
@@ -85,17 +87,17 @@ class Scenario:
             raise ValueError("delta must satisfy 1 <= delta <= T")
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
-        if self.d_max < 0:
-            raise ValueError("d_max must be >= 0")
-        if self.a <= 0:
-            raise ValueError("a must be > 0")
+        if not (math.isfinite(self.d_max) and self.d_max >= 0):
+            raise ValueError("d_max must be finite and >= 0")
+        if not (math.isfinite(self.a) and self.a > 0):
+            raise ValueError("a must be finite and > 0")
         if self.c_veh < 0:
             raise ValueError("c_veh must be >= 0")
         if self.demand_model is DemandModel.EXPLICIT:
             if self.demand is None or len(self.demand) != self.T:
                 raise ValueError("explicit demand must have length T")
-            if any(d < 0 for d in self.demand):
-                raise ValueError("explicit demand must be non-negative")
+            if not all(math.isfinite(d) and d >= 0 for d in self.demand):
+                raise ValueError("explicit demand must be finite and non-negative")
             object.__setattr__(self, "demand", tuple(float(d) for d in self.demand))
         elif self.demand is not None:
             raise ValueError("demand vector only allowed with explicit demand model")
@@ -213,7 +215,8 @@ def demand_at(scenario: Scenario, t: int) -> float:
         raise IndexError(f"t={t} outside 1..{scenario.T}")
     if scenario.demand_model is DemandModel.ENVELOPE_SINUSOID:
         daily = 1.0 - math.cos(math.pi * t / 12.0)
-        envelope = math.sin(math.pi * t / scenario.T)
+        # sin(pi*t/T) rounds to about -3e-16 at t = T for some T
+        envelope = max(0.0, math.sin(math.pi * t / scenario.T))
         return scenario.d_max / 2.0 * daily * envelope
     if scenario.demand_model is DemandModel.OFFSET_SINUSOID:
         return scenario.d_max * (1.0 + math.sin(math.pi * t / 12.0))
@@ -242,6 +245,18 @@ def _window_sum(x: np.ndarray, width: int, boundary: Boundary) -> np.ndarray:
         return x[idx].sum(axis=1)
     padded = np.concatenate([np.zeros(width - 1, dtype=x.dtype), x])
     return np.convolve(padded, np.ones(width, dtype=x.dtype), mode="valid")
+
+
+def window_matrix(scenario: Scenario, width: int) -> sparse.csr_matrix:
+    """T x T matrix W with W @ x = _window_sum(x, width, scenario.boundary)."""
+    T = scenario.T
+    t = np.repeat(np.arange(T), width)
+    tau = t - np.tile(np.arange(width), T)
+    if scenario.boundary is Boundary.CIRCULAR:
+        tau %= T  # a window wider than T holds a start twice: entries add up
+    else:
+        t, tau = t[tau >= 0], tau[tau >= 0]
+    return sparse.csr_matrix((np.ones(len(t)), (t, tau)), shape=(T, T))
 
 
 def supply_curve(plan: ShiftPlan, scenario: Scenario) -> SupplyCurve:

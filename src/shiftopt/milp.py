@@ -1,17 +1,17 @@
-"""Mixed-integer linear solver: LP relaxations, branch-and-bound, LP export.
+"""Integer linear models solved as one exact LP, and LP export.
 
-Models are stated in maximization form. LP relaxations are delegated to
-scipy's HiGHS backend; the branch-and-bound search on top of it is
-deterministic: best-bound node selection (ties: deepest first, then FIFO)
-and branching on the most fractional integer variable (ties: lowest index).
+Models are stated in maximization form with every column bounded. The
+planner's models have a totally unimodular constraint matrix and integral
+bounds and right-hand sides, so every basic optimum of the LP relaxation is
+integral (Hochbaum & Shanthikumar 1990, J. ACM 37(4)). `milp_solve`
+therefore solves the relaxation once with HiGHS and checks the optimum for
+integrality instead of branching.
 """
 
 from __future__ import annotations
 
 import enum
-import heapq
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import linprog
@@ -20,7 +20,6 @@ from scipy.sparse import csr_matrix
 __all__ = [
     "MilpModel",
     "MilpSolution",
-    "SolveOptions",
     "SolveStatus",
     "export_lp",
     "lp_solve",
@@ -33,66 +32,55 @@ INT_TOL = 1e-6
 class SolveStatus(enum.Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
-    GAP_LIMIT = "gap_limit"
-    NODE_LIMIT = "node_limit"
+
+
+def _rows(A, b, n: int) -> tuple[csr_matrix, np.ndarray]:
+    if A is None:
+        return csr_matrix((0, n)), np.zeros(0)
+    A = csr_matrix(A, dtype=float)
+    A.sum_duplicates()  # canonical: one sorted entry per (row, column)
+    b = np.asarray(b, dtype=float)
+    if A.shape[1] != n or b.shape != (A.shape[0],):
+        raise ValueError("row matrix and right-hand side do not match the columns")
+    return A, b
 
 
 @dataclass(frozen=True)
-class Row:
-    coeffs: dict[int, float]
-    sense: str  # "<=", "=", ">="
-    rhs: float
-
-
 class MilpModel:
-    """A linear model max c·v subject to rows, bounds, and integrality."""
+    """max objective·v + constant  s.t.  A_ub v <= b_ub, A_eq v = b_eq,
+    lower <= v <= upper, with v_j integral where is_integer[j]."""
 
-    def __init__(self):
-        self.objective: list[float] = []
-        self.lower: list[float] = []
-        self.upper: list[float] = []
-        self.is_integer: list[bool] = []
-        self.names: list[str] = []
-        self.rows: list[Row] = []
+    objective: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    is_integer: np.ndarray
+    names: list[str]
+    A_ub: csr_matrix | None = None
+    b_ub: np.ndarray | None = None
+    A_eq: csr_matrix | None = None
+    b_eq: np.ndarray | None = None
+    constant: float = 0.0
+
+    def __post_init__(self):
+        n = len(self.objective)
+        for name in ("objective", "lower", "upper"):
+            v = np.asarray(getattr(self, name), dtype=float)
+            if v.shape != (n,) or not np.all(np.isfinite(v)):
+                raise ValueError(f"{name} must hold {n} finite values")
+            object.__setattr__(self, name, v)
+        if np.any(self.lower > self.upper):
+            raise ValueError("inconsistent variable bounds")
+        object.__setattr__(self, "is_integer", np.asarray(self.is_integer, dtype=bool))
+        if self.is_integer.shape != (n,) or len(self.names) != n:
+            raise ValueError("is_integer and names must have one entry per column")
+        for kind in ("ub", "eq"):
+            A, b = _rows(getattr(self, f"A_{kind}"), getattr(self, f"b_{kind}"), n)
+            object.__setattr__(self, f"A_{kind}", A)
+            object.__setattr__(self, f"b_{kind}", b)
 
     @property
     def n_vars(self) -> int:
         return len(self.objective)
-
-    def add_variable(
-        self,
-        name: str,
-        *,
-        obj: float = 0.0,
-        lb: float = 0.0,
-        ub: float = math.inf,
-        integer: bool = False,
-    ) -> int:
-        if not math.isfinite(obj):
-            raise ValueError("objective coefficient must be finite")
-        if lb > ub:
-            raise ValueError(f"variable {name}: lower bound exceeds upper bound")
-        self.objective.append(float(obj))
-        self.lower.append(float(lb))
-        self.upper.append(float(ub))
-        self.is_integer.append(bool(integer))
-        self.names.append(name)
-        return self.n_vars - 1
-
-    def add_row(self, coeffs: dict[int, float], sense: str, rhs: float) -> None:
-        if sense not in ("<=", "=", ">="):
-            raise ValueError(f"unknown sense {sense!r}")
-        for j in coeffs:
-            if not 0 <= j < self.n_vars:
-                raise ValueError(f"row references unknown variable {j}")
-        self.rows.append(Row(coeffs=dict(coeffs), sense=sense, rhs=float(rhs)))
-
-    def validate(self) -> None:
-        if any(l > u for l, u in zip(self.lower, self.upper)):
-            raise ValueError("inconsistent variable bounds")
-        if not all(math.isfinite(c) for c in self.objective):
-            raise ValueError("objective coefficients must be finite")
 
 
 @dataclass(frozen=True)
@@ -100,316 +88,103 @@ class MilpSolution:
     status: SolveStatus
     values: np.ndarray
     objective: float
-    best_bound: float
-    nodes_explored: int
-    # LP duals, populated by lp_solve only (maximization sign convention)
-    dual_rows: np.ndarray | None = None
-    reduced_costs: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class SolveOptions:
-    abs_gap: float = 1e-6
-    rel_gap: float = 1e-6
-    node_limit: int = 10**6
-
-
-class _LpData:
-    """Model matrices in the split <=/= form scipy expects, built once."""
-
-    def __init__(self, model: MilpModel):
-        model.validate()
-        n = model.n_vars
-        ub_rows: list[tuple[dict[int, float], float]] = []
-        eq_rows: list[tuple[dict[int, float], float]] = []
-        self.row_kind: list[tuple[str, int]] = []  # original row -> (kind, idx)
-        self.trivially_infeasible = False
-        for row in model.rows:
-            if not row.coeffs:
-                # empty row: either vacuous or a contradiction
-                ok = {
-                    "<=": 0.0 <= row.rhs + 1e-12,
-                    ">=": 0.0 >= row.rhs - 1e-12,
-                    "=": abs(row.rhs) <= 1e-12,
-                }[row.sense]
-                if not ok:
-                    self.trivially_infeasible = True
-                self.row_kind.append(("empty", -1))
-                continue
-            if row.sense == "=":
-                self.row_kind.append(("eq", len(eq_rows)))
-                eq_rows.append((row.coeffs, row.rhs))
-            elif row.sense == "<=":
-                self.row_kind.append(("ub", len(ub_rows)))
-                ub_rows.append((row.coeffs, row.rhs))
-            else:  # >=  ->  negate into <=
-                self.row_kind.append(("lb", len(ub_rows)))
-                ub_rows.append(({j: -c for j, c in row.coeffs.items()}, -row.rhs))
-
-        def build(rows):
-            if not rows:
-                return None, None
-            data, ri, ci = [], [], []
-            rhs = []
-            for i, (coeffs, b) in enumerate(rows):
-                for j, c in coeffs.items():
-                    ri.append(i)
-                    ci.append(j)
-                    data.append(c)
-                rhs.append(b)
-            return csr_matrix((data, (ri, ci)), shape=(len(rows), n)), np.array(rhs)
-
-        self.A_ub, self.b_ub = build(ub_rows)
-        self.A_eq, self.b_eq = build(eq_rows)
-        self.c_min = -np.asarray(model.objective, dtype=float)
-        self.n = n
-
-
-def _solve_relaxation(data: _LpData, lower: np.ndarray, upper: np.ndarray):
-    """Returns (status, values, objective_max, result) for the LP relaxation."""
-    if data.trivially_infeasible or np.any(lower > upper):
-        return SolveStatus.INFEASIBLE, None, -math.inf, None
-    if data.n == 0:
-        return SolveStatus.OPTIMAL, np.zeros(0), 0.0, None
-    res = linprog(
-        data.c_min,
-        A_ub=data.A_ub,
-        b_ub=data.b_ub,
-        A_eq=data.A_eq,
-        b_eq=data.b_eq,
-        bounds=np.column_stack([lower, upper]),
-        method="highs",
-    )
-    if res.status == 2:
-        return SolveStatus.INFEASIBLE, None, -math.inf, res
-    if res.status == 3:
-        return SolveStatus.UNBOUNDED, None, math.inf, res
-    if res.status != 0:
-        raise RuntimeError(f"LP backend failed: {res.message}")
-    return SolveStatus.OPTIMAL, res.x, -res.fun, res
+    nodes_explored: int  # LP solves
 
 
 def lp_solve(model: MilpModel) -> MilpSolution:
-    """Solve the LP relaxation (integrality ignored)."""
-    data = _LpData(model)
-    lower = np.asarray(model.lower, dtype=float)
-    upper = np.asarray(model.upper, dtype=float)
-    status, values, obj, res = _solve_relaxation(data, lower, upper)
-    if status is not SolveStatus.OPTIMAL:
-        return MilpSolution(
-            status=status,
-            values=np.full(model.n_vars, np.nan),
-            objective=obj,
-            best_bound=obj,
-            nodes_explored=0,
-        )
-    if res is None:
-        return MilpSolution(
-            status=SolveStatus.OPTIMAL,
-            values=values,
-            objective=obj,
-            best_bound=obj,
-            nodes_explored=0,
-        )
-    # reassemble row duals in the original order, maximization sign
-    dual_rows = np.zeros(len(model.rows))
-    for i, (kind, k) in enumerate(data.row_kind):
-        if kind == "eq":
-            dual_rows[i] = -res.eqlin.marginals[k]
-        elif kind == "ub":
-            dual_rows[i] = -res.ineqlin.marginals[k]
-        elif kind == "lb":
-            dual_rows[i] = res.ineqlin.marginals[k]
-    reduced = -(res.lower.marginals + res.upper.marginals)
-    return MilpSolution(
-        status=SolveStatus.OPTIMAL,
-        values=values,
-        objective=obj,
-        best_bound=obj,
-        nodes_explored=0,
-        dual_rows=dual_rows,
-        reduced_costs=reduced,
+    """Solve the LP relaxation (integrality ignored) with one HiGHS call."""
+    res = linprog(
+        -model.objective,
+        A_ub=model.A_ub,
+        b_ub=model.b_ub,
+        A_eq=model.A_eq,
+        b_eq=model.b_eq,
+        bounds=np.column_stack([model.lower, model.upper]),
+        method="highs",
     )
-
-
-def _fractional_index(values: np.ndarray, int_mask: np.ndarray) -> int | None:
-    """Most fractional integer variable, ties by lowest index; None if integral."""
-    best_j, best_frac = None, INT_TOL
-    for j in np.flatnonzero(int_mask):
-        v = values[j]
-        frac = abs(v - round(v))
-        if frac > best_frac + 1e-15:
-            best_j, best_frac = int(j), frac
-    return best_j
-
-
-def milp_solve(model: MilpModel, opts: SolveOptions | None = None) -> MilpSolution:
-    """Branch-and-bound search for the mixed-integer optimum."""
-    opts = opts or SolveOptions()
-    data = _LpData(model)
-    int_mask = np.asarray(model.is_integer, dtype=bool)
-    if np.any(int_mask):
-        ints = np.flatnonzero(int_mask)
-        lo = np.asarray(model.lower)[ints]
-        hi = np.asarray(model.upper)[ints]
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise ValueError("integer variables must have finite bounds")
-
-    lower0 = np.asarray(model.lower, dtype=float)
-    upper0 = np.asarray(model.upper, dtype=float)
-
-    nodes = 0
-    status, values, bound, _ = _solve_relaxation(data, lower0, upper0)
-    nodes += 1
-    if status is SolveStatus.INFEASIBLE:
+    if res.status == 2:
         return MilpSolution(
             status=SolveStatus.INFEASIBLE,
             values=np.full(model.n_vars, np.nan),
-            objective=-math.inf,
-            best_bound=-math.inf,
-            nodes_explored=nodes,
+            objective=-np.inf,
+            nodes_explored=1,
         )
-    if status is SolveStatus.UNBOUNDED:
-        return MilpSolution(
-            status=SolveStatus.UNBOUNDED,
-            values=np.full(model.n_vars, np.nan),
-            objective=math.inf,
-            best_bound=math.inf,
-            nodes_explored=nodes,
-        )
-
-    inc_values: np.ndarray | None = None
-    inc_obj = -math.inf
-    # heap entries: (-bound, -depth, seq, bound, depth, values, lower, upper)
-    heap: list = []
-    seq = 0
-
-    def push(bound, depth, values, lower, upper):
-        nonlocal seq
-        heapq.heappush(heap, (-bound, -depth, seq, bound, depth, values, lower, upper))
-        seq += 1
-
-    def gap_closed(best_bound):
-        return best_bound - inc_obj <= opts.abs_gap or (
-            best_bound - inc_obj <= opts.rel_gap * max(1.0, abs(inc_obj))
-        )
-
-    def snap(values):
-        out = values.copy()
-        out[int_mask] = np.rint(out[int_mask])
-        return out
-
-    push(bound, 0, values, lower0, upper0)
-
-    while heap:
-        _, _, _, bound, depth, values, lower, upper = heapq.heappop(heap)
-        if bound <= inc_obj + min(opts.abs_gap, 1e-12):
-            continue
-        if inc_values is not None and gap_closed(bound):
-            return MilpSolution(
-                status=SolveStatus.OPTIMAL,
-                values=snap(inc_values),
-                objective=inc_obj,
-                best_bound=bound,
-                nodes_explored=nodes,
-            )
-        branch_j = _fractional_index(values, int_mask)
-        if branch_j is None:
-            if bound > inc_obj:
-                inc_values, inc_obj = values, bound
-            continue
-        if nodes >= opts.node_limit:
-            best_bound = max(bound, inc_obj)
-            return MilpSolution(
-                status=SolveStatus.NODE_LIMIT,
-                values=snap(inc_values) if inc_values is not None else np.full(model.n_vars, np.nan),
-                objective=inc_obj,
-                best_bound=best_bound,
-                nodes_explored=nodes,
-            )
-        v = values[branch_j]
-        for lo_add, hi_add in (
-            (None, math.floor(v)),  # down branch
-            (math.ceil(v), None),  # up branch
-        ):
-            lo, hi = lower.copy(), upper.copy()
-            if hi_add is not None:
-                hi[branch_j] = min(hi[branch_j], hi_add)
-            if lo_add is not None:
-                lo[branch_j] = max(lo[branch_j], lo_add)
-            st, vals, bnd, _ = _solve_relaxation(data, lo, hi)
-            nodes += 1
-            if st is SolveStatus.OPTIMAL and bnd > inc_obj + 1e-12:
-                push(min(bnd, bound), depth + 1, vals, lo, hi)
-
-    if inc_values is None:
-        return MilpSolution(
-            status=SolveStatus.INFEASIBLE,
-            values=np.full(model.n_vars, np.nan),
-            objective=-math.inf,
-            best_bound=-math.inf,
-            nodes_explored=nodes,
-        )
+    if res.status != 0:
+        raise RuntimeError(f"LP backend failed: {res.message}")
     return MilpSolution(
         status=SolveStatus.OPTIMAL,
-        values=snap(inc_values),
-        objective=inc_obj,
-        best_bound=inc_obj,
-        nodes_explored=nodes,
+        values=res.x,
+        objective=model.constant - res.fun,
+        nodes_explored=1,
     )
+
+
+def milp_solve(model: MilpModel) -> MilpSolution:
+    """Integer optimum of a model whose LP optimum is integral.
+
+    Raises RuntimeError if any column of the LP optimum is more than INT_TOL
+    from an integer: the model is then not totally unimodular with integral
+    bounds and right-hand sides. The optimum is never rounded silently.
+    """
+    sol = lp_solve(model)
+    if sol.status is not SolveStatus.OPTIMAL:
+        return sol
+    values = np.rint(sol.values)
+    off = np.abs(sol.values - values)
+    if np.any(off > INT_TOL):
+        j = int(np.argmax(off))
+        raise RuntimeError(
+            f"LP optimum is not integral: {model.names[j]} = {sol.values[j]:.9g}; "
+            "the model is not totally unimodular with integral data"
+        )
+    return replace(sol, values=values, objective=float(model.objective @ values) + model.constant)
 
 
 def _num(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _linear_expr(coeffs: dict[int, float], names: list[str]) -> str:
-    parts = []
-    for j in sorted(coeffs):
-        c = coeffs[j]
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else "+"
-        if not parts and sign == "+":
-            parts.append(f"{_num(abs(c))} {names[j]}")
-        else:
-            parts.append(f"{sign} {_num(abs(c))} {names[j]}")
-    return " ".join(parts)
+def _linear_expr(cols, coeffs, names: list[str]) -> str:
+    expr = " ".join(
+        f"{'-' if c < 0 else '+'} {_num(abs(c))} {names[j]}"
+        for j, c in zip(cols, coeffs)
+        if c != 0
+    )
+    return expr[2:] if expr.startswith("+ ") else expr
 
 
 def export_lp(model: MilpModel, name: str = "shiftopt") -> str:
-    """Render the model in CPLEX LP format (write-only, LF line endings)."""
-    model.validate()
-    names = [n if n else f"v{j}" for j, n in enumerate(model.names)]
-    lines = [f"\\ Problem: {name}", "Maximize"]
-    obj = {j: c for j, c in enumerate(model.objective) if c != 0}
-    if not obj and model.n_vars:
-        obj = {0: 0.0}
+    """Render the model in CPLEX LP format (write-only, LF line endings).
+
+    A nonzero objective constant is written as a comment: the LP format has
+    no place for it, so the exported optimum differs from milp_solve's by it.
+    """
+    names = model.names
+    lines = [f"\\ Problem: {name}"]
+    if model.constant:
+        lines.append(f"\\ Objective constant: {_num(model.constant)}")
+    lines.append("Maximize")
+    obj = np.flatnonzero(model.objective)
+    expr = _linear_expr(obj, model.objective[obj], names)
+    if not expr and model.n_vars:
         expr = f"0 {names[0]}"
-    else:
-        expr = _linear_expr(obj, names)
     lines.append(f" obj: {expr}".rstrip())
     lines.append("Subject To")
-    for i, row in enumerate(model.rows):
-        expr = _linear_expr(row.coeffs, names)
-        if not expr:
-            expr = "0 " + (names[0] if names else "x")
-        lines.append(f" c{i}: {expr} {row.sense} {_num(row.rhs)}")
+    i = 0
+    for A, b, sense in ((model.A_ub, model.b_ub, "<="), (model.A_eq, model.b_eq, "=")):
+        for k in range(A.shape[0]):
+            row = slice(A.indptr[k], A.indptr[k + 1])
+            expr = _linear_expr(A.indices[row], A.data[row], names)
+            if not expr:
+                expr = "0 " + (names[0] if names else "x")
+            lines.append(f" c{i}: {expr} {sense} {_num(b[k])}")
+            i += 1
     lines.append("Bounds")
     for j in range(model.n_vars):
-        lb, ub = model.lower[j], model.upper[j]
-        if lb == -math.inf and ub == math.inf:
-            lines.append(f" {names[j]} free")
-        elif ub == math.inf:
-            lines.append(f" {names[j]} >= {_num(lb)}")
-        elif lb == -math.inf:
-            lines.append(f" {names[j]} <= {_num(ub)}")
-        else:
-            lines.append(f" {_num(lb)} <= {names[j]} <= {_num(ub)}")
-    generals = [names[j] for j in range(model.n_vars) if model.is_integer[j]]
+        lines.append(f" {_num(model.lower[j])} <= {names[j]} <= {_num(model.upper[j])}")
+    generals = [names[j] for j in np.flatnonzero(model.is_integer)]
     if generals:
         lines.append("Generals")
-        for g in generals:
-            lines.append(f" {g}")
+        lines.extend(f" {g}" for g in generals)
     lines.append("End")
     return "\n".join(lines) + "\n"

@@ -1,9 +1,13 @@
-"""Builds and solves the shift-planning MILPs.
+"""Builds and solves the shift-planning programs.
 
 Two programs share the same feasible set (window sums, total-shift equality,
-vehicle and extended-shift caps): the reward-maximizing program with chord
-rows bounding each r_t, and the baseline program minimizing squared deviation
-from a desired supply through epigraph variables.
+vehicle and extended-shift caps): the reward-maximizing program, and the
+baseline program minimizing squared deviation from a desired supply. Each
+step's concave reward or convex squared deviation enters through its chord
+envelope: every piece becomes a segment column u in [0, width] with the
+piece's slope as gain, and y_t is the sum of its step's segments. With x,
+y and z tied by window sums, the constraint matrix is totally unimodular, so
+one LP solve yields an integral optimum.
 """
 
 from __future__ import annotations
@@ -11,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from . import benchmark
 from .domain import (
-    Boundary,
     RewardParams,
     Scenario,
     ShiftPlan,
@@ -22,9 +26,10 @@ from .domain import (
     demand_vector,
     supply_curve,
     total_reward,
+    window_matrix,
 )
-from .milp import MilpModel, MilpSolution, SolveOptions, SolveStatus, milp_solve
-from .piecewise import concavify_reward, convexify_sq_dev
+from .milp import MilpModel, SolveStatus, milp_solve
+from .piecewise import ConcavePL, ConvexPL, concavify_reward, convexify_sq_dev
 
 __all__ = [
     "EconomicStandard",
@@ -64,117 +69,110 @@ class EconomicStandard:
 class PlanResult:
     plan: ShiftPlan
     supply: SupplyCurve
-    mip_objective: float  # reward MIP: chord objective; baseline: min total sq. deviation
+    mip_objective: float  # chord envelopes at the plan's supply: reward, or total sq. deviation
     true_reward: float
     solve_status: SolveStatus
-    nodes: int
+    nodes: int  # LP solves
 
 
-def _window_coeffs(scenario: Scenario, t: int, width: int) -> dict[int, float]:
-    """Coefficients of x over the backward window [t-width+1, t] (t 1-based)."""
-    coeffs: dict[int, float] = {}
-    for k in range(width):
-        tau = t - k
-        if scenario.boundary is Boundary.CIRCULAR:
-            j = (tau - 1) % scenario.T
-        else:
-            if tau < 1:
-                continue
-            j = tau - 1
-        coeffs[j] = coeffs.get(j, 0.0) + 1.0
-    return coeffs
-
-
-def _add_structure(model: MilpModel, scenario: Scenario) -> tuple[list[int], list[int], list[int]]:
-    """Common variables x, y, z and their defining rows; returns index lists."""
+def _segment_model(
+    scenario: Scenario, envelopes: list[ConcavePL] | list[ConvexPL], sign: float
+) -> MilpModel:
+    """max sign * sum_t envelope_t(y_t) over plans, with columns x, y, z, u."""
     T, N = scenario.T, scenario.N
-    y_cap = min(scenario.c_veh, N)
-    x_idx = [
-        model.add_variable(f"x_{t}", lb=0, ub=N, integer=True) for t in range(1, T + 1)
+    widths = [env.widths() for env in envelopes]
+    step = np.repeat(np.arange(T), [len(w) for w in widths])
+    n_seg = len(step)
+    eye = sparse.identity(T, format="csr")
+    segments = sparse.csr_matrix((np.ones(n_seg), (step, np.arange(n_seg))), shape=(T, n_seg))
+    A_eq = sparse.bmat(
+        [
+            [window_matrix(scenario, scenario.delta), -eye, None, None],
+            [window_matrix(scenario, scenario.delta + scenario.beta), None, -eye, None],
+            [np.ones((1, T)), None, None, None],
+            [None, eye, None, -segments],
+        ],
+        format="csr",
+    )
+    b_eq = np.zeros(3 * T + 1)
+    b_eq[2 * T] = scenario.total_shifts
+    slopes = [p.slope for env in envelopes for p in env.pieces]
+    offset = sum(env.pieces[0].intercept for env in envelopes)  # sum_t envelope_t(0)
+    steps = range(1, T + 1)
+    seg_names = [f"u_{t}_{k}" for t, w in zip(steps, widths) for k in range(1, len(w) + 1)]
+    return MilpModel(
+        objective=np.concatenate([np.zeros(3 * T), sign * np.asarray(slopes)]),
+        lower=np.zeros(3 * T + n_seg),
+        upper=np.concatenate(
+            [np.full(T, N), np.full(T, min(scenario.c_veh, N)), np.full(T, N),
+             np.concatenate(widths)]
+        ),
+        is_integer=np.arange(3 * T + n_seg) < T,
+        names=[f"{v}_{t}" for v in "xyz" for t in steps] + seg_names,
+        A_eq=A_eq,
+        b_eq=b_eq,
+        constant=sign * offset,
+    )
+
+
+def _y_max(scenario: Scenario) -> int:
+    return max(1, min(scenario.c_veh, scenario.N))
+
+
+def _reward_envelopes(scenario: Scenario) -> list[ConcavePL]:
+    y_max = _y_max(scenario)
+    return [
+        concavify_reward(RewardParams(d=float(d), a=scenario.a), y_max)
+        for d in demand_vector(scenario)
     ]
-    y_idx = [model.add_variable(f"y_{t}", lb=0, ub=y_cap) for t in range(1, T + 1)]
-    z_idx = [model.add_variable(f"z_{t}", lb=0, ub=N) for t in range(1, T + 1)]
-    for t in range(1, T + 1):
-        coeffs = {x_idx[j]: c for j, c in _window_coeffs(scenario, t, scenario.delta).items()}
-        coeffs[y_idx[t - 1]] = coeffs.get(y_idx[t - 1], 0.0) - 1.0
-        model.add_row(coeffs, "=", 0.0)
-    for t in range(1, T + 1):
-        width = scenario.delta + scenario.beta
-        coeffs = {x_idx[j]: c for j, c in _window_coeffs(scenario, t, width).items()}
-        coeffs[z_idx[t - 1]] = coeffs.get(z_idx[t - 1], 0.0) - 1.0
-        model.add_row(coeffs, "=", 0.0)
-    model.add_row({j: 1.0 for j in x_idx}, "=", float(scenario.total_shifts))
-    return x_idx, y_idx, z_idx
 
 
-def build_reward_mip(scenario: Scenario) -> MilpModel:
-    """Reward-maximizing MILP with chord rows r_t <= h_i(y_t)."""
-    model = MilpModel()
-    _, y_idx, _ = _add_structure(model, scenario)
-    d = demand_vector(scenario)
-    y_max = max(1, min(scenario.c_veh, scenario.N))
-    for t in range(1, scenario.T + 1):
-        r_j = model.add_variable(f"r_{t}", obj=1.0, lb=0.0)
-        pl = concavify_reward(RewardParams(d=float(d[t - 1]), a=scenario.a), y_max)
-        for piece in pl.pieces:
-            model.add_row(
-                {r_j: 1.0, y_idx[t - 1]: -piece.slope}, "<=", piece.intercept
-            )
-    return model
-
-
-def build_deviation_mip(scenario: Scenario, desired: np.ndarray) -> MilpModel:
-    """Baseline MILP: minimize sum of squared deviations from `desired`."""
+def _deviation_envelopes(scenario: Scenario, desired: np.ndarray) -> list[ConvexPL]:
     desired = np.asarray(desired, dtype=float)
     if desired.shape != (scenario.T,):
         raise ValueError(f"desired supply must have length {scenario.T}")
     if np.any(desired < 0):
         raise ValueError("desired supply must be non-negative")
-    model = MilpModel()
-    _, y_idx, _ = _add_structure(model, scenario)
-    y_max = max(1, min(scenario.c_veh, scenario.N))
-    for t in range(1, scenario.T + 1):
-        e_j = model.add_variable(f"e_{t}", obj=-1.0, lb=0.0)
-        pl = convexify_sq_dev(float(desired[t - 1]), y_max)
-        for piece in pl.pieces:
-            # e_t >= slope*y_t + intercept
-            model.add_row(
-                {y_idx[t - 1]: piece.slope, e_j: -1.0}, "<=", -piece.intercept
-            )
-    return model
+    y_max = _y_max(scenario)
+    return [convexify_sq_dev(float(target), y_max) for target in desired]
 
 
-def _extract_plan(
-    scenario: Scenario, sol: MilpSolution, deviation: bool
+def build_reward_mip(scenario: Scenario) -> MilpModel:
+    """Reward-maximizing program over the chord envelopes of the reward."""
+    return _segment_model(scenario, _reward_envelopes(scenario), 1.0)
+
+
+def build_deviation_mip(scenario: Scenario, desired: np.ndarray) -> MilpModel:
+    """Baseline program: maximize minus the sum of squared deviations from `desired`."""
+    return _segment_model(scenario, _deviation_envelopes(scenario, desired), -1.0)
+
+
+def _solve(
+    scenario: Scenario, envelopes: list[ConcavePL] | list[ConvexPL], sign: float
 ) -> PlanResult:
-    if sol.status in (SolveStatus.INFEASIBLE, SolveStatus.UNBOUNDED):
+    sol = milp_solve(_segment_model(scenario, envelopes, sign))
+    if sol.status is SolveStatus.INFEASIBLE:
         raise PlanningError(sol.status, f"no plan: solver status {sol.status.value}")
-    if sol.status is SolveStatus.NODE_LIMIT and not np.all(np.isfinite(sol.values)):
-        raise PlanningError(sol.status, "node limit reached without an incumbent")
-    x = np.rint(sol.values[: scenario.T]).astype(np.int64)
-    plan_vec = ShiftPlan(x=x)
-    curve = supply_curve(plan_vec, scenario)
-    objective = -sol.objective if deviation else sol.objective
+    T = scenario.T
+    plan_vec = ShiftPlan(x=sol.values[:T].astype(np.int64))
+    y = sol.values[T : 2 * T]
     return PlanResult(
         plan=plan_vec,
-        supply=curve,
-        mip_objective=objective,
+        supply=supply_curve(plan_vec, scenario),
+        mip_objective=sum(env.evaluate(float(yt)) for env, yt in zip(envelopes, y)),
         true_reward=total_reward(plan_vec, scenario),
         solve_status=sol.status,
         nodes=sol.nodes_explored,
     )
 
 
-def plan(scenario: Scenario, opts: SolveOptions | None = None) -> PlanResult:
+def plan(scenario: Scenario) -> PlanResult:
     """Solve the reward-maximizing program and extract the plan."""
-    sol = milp_solve(build_reward_mip(scenario), opts)
-    return _extract_plan(scenario, sol, deviation=False)
+    return _solve(scenario, _reward_envelopes(scenario), 1.0)
 
 
 def plan_baseline(
-    scenario: Scenario,
-    standard: ServiceStandard | EconomicStandard,
-    opts: SolveOptions | None = None,
+    scenario: Scenario, standard: ServiceStandard | EconomicStandard
 ) -> PlanResult:
     """Solve the deviation-minimizing program against a traditional standard."""
     if isinstance(standard, ServiceStandard):
@@ -183,5 +181,4 @@ def plan_baseline(
         desired = benchmark.economic_standard_supply(scenario, standard.cost)
     else:
         raise TypeError(f"unknown standard {standard!r}")
-    sol = milp_solve(build_deviation_mip(scenario, desired), opts)
-    return _extract_plan(scenario, sol, deviation=True)
+    return _solve(scenario, _deviation_envelopes(scenario, desired), -1.0)

@@ -110,8 +110,9 @@ def parse_lp(text: str):
     return {"objective": obj, "rows": rows, "bounds": bounds, "integers": integers}
 
 
-def solve_parsed_lp(parsed) -> float:
-    """Maximize the parsed model with scipy's HiGHS MILP (external cross-check)."""
+def solve_parsed_lp(parsed) -> dict[str, float]:
+    """Maximize the parsed model with scipy's HiGHS MILP (external cross-check);
+    returns the optimal value of every variable by name."""
     from scipy.optimize import LinearConstraint, milp
     from scipy.sparse import lil_matrix
 
@@ -141,4 +142,4 @@ def solve_parsed_lp(parsed) -> float:
 
     res = milp(c, constraints=constraints, bounds=Bounds(lb, ub), integrality=integrality)
     assert res.status == 0, res.message
-    return -res.fun
+    return dict(zip(names, res.x))

@@ -59,6 +59,31 @@ class TestPlanCommand:
         assert summary["sum_x"] == 0
         assert summary["relative_gap"] == 1.0
 
+    def test_zero_demand_gap_is_one(self, tmp_path):
+        code, out = run(tmp_path, "plan", {"kind": "plan", "scenario": base_scenario(d_max=0.0)})
+        assert code == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["r_star"] == 0.0
+        assert summary["relative_gap"] == 1.0
+
+    @pytest.mark.parametrize("field", ["d_max", "a", "demand"])
+    def test_non_finite_input_exit_2(self, tmp_path, field):
+        sc = base_scenario()
+        if field == "demand":
+            sc.update(demand_model="explicit", demand=[1.0] * 11 + [float("nan")])
+        else:
+            sc[field] = float("inf")
+        code, out = run(tmp_path, "plan", {"kind": "plan", "scenario": sc})
+        assert code == EXIT_BAD_CONFIG
+        assert not out.exists()
+
+    def test_removed_flags_rejected(self, tmp_path):
+        for flag, value in (("seed", 1), ("gap", 0.1)):
+            with pytest.raises(SystemExit) as err:
+                run(tmp_path, "plan", {"kind": "plan", "scenario": base_scenario()},
+                    **{flag: value})
+            assert err.value.code == 2
+
     def test_malformed_json_exit_2_no_files(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json", encoding="utf-8")
@@ -99,6 +124,17 @@ class TestSweepCommand:
         header2, supply_rows = read_csv(str(out / "sweep_supply.csv"))
         assert header2 == ["sweep_value", "t", "y_norm", "y_star_norm"]
         assert len(supply_rows) == 3 * 12
+
+    def test_zero_demand_gaps_are_one(self, tmp_path):
+        config = {
+            "kind": "sweep_drivers",
+            "scenario": base_scenario(d_max=0.0),
+            "sweep_values": [1, 2],
+        }
+        code, out = run(tmp_path, "sweep", config)
+        assert code == EXIT_OK
+        header, rows = read_csv(str(out / "sweep.csv"))
+        assert [row[header.index("relative_gap")] for row in rows] == [1.0, 1.0]
 
     def test_shifts_sweep_requires_divisibility(self, tmp_path):
         config = {

@@ -16,6 +16,7 @@ from shiftopt import (
     supply_curve,
     total_reward,
 )
+from shiftopt.domain import window_matrix
 
 
 def scenario(**kw):
@@ -34,6 +35,15 @@ class TestScenario:
             scenario(a=0.0)
         with pytest.raises(ValueError):
             scenario(demand_model=DemandModel.EXPLICIT, demand=(1.0, 2.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            scenario(d_max=bad)
+        with pytest.raises(ValueError, match="finite"):
+            scenario(a=bad)
+        with pytest.raises(ValueError, match="finite"):
+            scenario(demand_model=DemandModel.EXPLICIT, demand=(1.0,) * 7 + (bad,))
 
     def test_json_round_trip(self):
         sc = scenario(
@@ -84,8 +94,10 @@ class TestDemand:
 
     @pytest.mark.parametrize("model", [DemandModel.ENVELOPE_SINUSOID, DemandModel.OFFSET_SINUSOID])
     def test_nonnegative_everywhere(self, model):
-        sc = scenario(T=200, d_max=7.3, demand_model=model, delta=3)
-        assert demand_vector(sc).min() >= -1e-12
+        # sin(pi*t/T) rounds below zero at t = T for T = 13, 26, 47, ...
+        for T in range(1, 401):
+            sc = scenario(T=T, d_max=7.3, demand_model=model, delta=1)
+            assert demand_vector(sc).min() >= 0.0, T
 
 
 class TestReward:
@@ -166,6 +178,9 @@ class TestSupplyCurve:
             assert np.all(curve.z >= curve.y)
             assert np.all(curve.y >= 0)
             assert np.all(curve.z >= x)
+            # the planner's window rows sum the same starts, wide windows included
+            assert np.array_equal(window_matrix(sc, delta) @ x, curve.y)
+            assert np.array_equal(window_matrix(sc, delta + beta) @ x, curve.z)
             if boundary is Boundary.CIRCULAR:
                 assert curve.y.sum() == delta * x.sum()
             else:

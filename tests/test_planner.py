@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from shiftopt import (
+    Boundary,
     DemandModel,
     PlanningError,
     Scenario,
@@ -17,6 +18,7 @@ from shiftopt import (
     supply_curve,
     total_reward,
 )
+from shiftopt import milp
 from shiftopt.planner import EconomicStandard, ServiceStandard
 
 from oracles import best_plan_by_enumeration
@@ -77,9 +79,10 @@ class TestBuildDeviationMip:
 
 class TestPlan:
     def test_matches_enumeration_on_tiny_scenarios(self):
+        scenarios = []
         for seed in range(8):
             rng = np.random.default_rng(seed)
-            sc = Scenario(
+            params = dict(
                 T=int(rng.integers(3, 8)),
                 N=int(rng.integers(1, 3)),
                 s=int(rng.integers(1, 3)),
@@ -89,6 +92,14 @@ class TestPlan:
                 a=float(rng.uniform(0.5, 3)),
                 c_veh=int(rng.integers(1, 5)),
             )
+            scenarios += [Scenario(**params, boundary=b) for b in Boundary]
+        # circular extended shifts longer than the horizon count some starts twice
+        for n in (0, 1):
+            scenarios.append(
+                Scenario(T=3, N=n, s=1, delta=2, beta=2, d_max=3.0, a=1.0, c_veh=2,
+                         boundary=Boundary.CIRCULAR)
+            )
+        for sc in scenarios:
             oracle, _ = best_plan_by_enumeration(sc)
             if oracle is None:
                 with pytest.raises(PlanningError):
@@ -97,12 +108,21 @@ class TestPlan:
                 result = plan(sc)
                 assert result.true_reward == pytest.approx(oracle, abs=1e-6)
 
+    def test_one_lp_solve_per_plan(self, monkeypatch):
+        calls = []
+        real = milp.linprog
+        monkeypatch.setattr(milp, "linprog", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        sc = small_scenario(boundary=Boundary.CIRCULAR)
+        assert plan(sc).nodes == 1
+        assert plan_baseline(sc, ServiceStandard(0.8)).nodes == 1
+        assert len(calls) == 2
+
     def test_plan_invariants(self, headline_scenario, headline_result):
         sc, res = headline_scenario, headline_result
         assert res.plan.total == sc.s * sc.N
         assert res.supply.y.max() <= sc.c_veh
         assert res.supply.z.max() <= sc.N
-        assert res.mip_objective == pytest.approx(res.true_reward, abs=1e-6)
+        assert res.mip_objective == pytest.approx(res.true_reward, rel=1e-9)
 
     def test_infeasible_raises_with_status(self):
         # 2 shifts forced but extended shifts cover the whole horizon
