@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -152,18 +153,53 @@ def _cmd_plan(config: dict) -> dict[str, str]:
     }
 
 
+def _number(key: str, v, ok, what: str) -> float:
+    """v as a float if it is a finite number (not a bool) passing ok."""
+    try:
+        x = math.nan if isinstance(v, bool) or not isinstance(v, (int, float)) else float(v)
+    except OverflowError:  # an int too large for a float
+        x = math.nan
+    if not (math.isfinite(x) and ok(x)):
+        raise ConfigError(f"{key} must be {what}, got {v!r}")
+    return x
+
+
+def _numbers(config: dict, key: str, ok, what: str, default=None) -> list:
+    """config[key] (or the default) as a non-empty list of numbers passing ok."""
+    values = config.get(key, default)
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"{key} must be a non-empty list of {what}, got {values!r}")
+    return [_number(key, v, ok, what) for v in values]
+
+
+def _whole(minimum: int):
+    return lambda v: v >= minimum and v == int(v)
+
+
+def _per_driver(config: dict) -> float | None:
+    v = config.get("d_max_per_driver")
+    return None if v is None else _number("d_max_per_driver", v, lambda v: v >= 0, "a number >= 0")
+
+
+def _derive(base: Scenario, value, **fields) -> Scenario:
+    try:
+        return dataclasses.replace(base, **fields)
+    except ValueError as exc:
+        raise ConfigError(f"sweep value {value!r} gives a bad scenario: {exc}") from exc
+
+
 def _sweep_scenarios(config: dict) -> list[tuple[float, Scenario]]:
     base: Scenario = config["_scenario"]
     kind = config["kind"]
-    values = config.get("sweep_values")
-    if not values or any(v <= 0 for v in values):
-        raise ConfigError("sweep_values must be a non-empty list of positive numbers")
+    values = _numbers(config, "sweep_values", _whole(1), "whole numbers >= 1")
+    per_driver = _per_driver(config)
+    if kind != "sweep_drivers" and base.N == 0:
+        raise ConfigError(f"{kind} keeps the base scenario's total work, and N = 0 has none")
     out = []
     for v in values:
         fields = {}
         if kind == "sweep_drivers":
             fields["N"] = int(v)
-            per_driver = config.get("d_max_per_driver")
             if per_driver is not None:
                 fields["d_max"] = per_driver * int(v)
             if config.get("scale_c_veh", True):
@@ -184,7 +220,7 @@ def _sweep_scenarios(config: dict) -> list[tuple[float, Scenario]]:
             fields["delta"] = int(v)
             fields["N"] = work // int(v)
             fields["c_veh"] = max(base.c_veh, fields["N"])
-        out.append((float(v), dataclasses.replace(base, **fields)))
+        out.append((float(v), _derive(base, v, **fields)))
     return out
 
 
@@ -218,22 +254,19 @@ def _cmd_sweep(config: dict) -> dict[str, str]:
 
 def _compare_scenario(config: dict, n: int) -> Scenario:
     base: Scenario = config["_scenario"]
-    per_driver = config.get("d_max_per_driver")
+    per_driver = _per_driver(config)
     d_max = per_driver * n if per_driver is not None else base.d_max
-    return dataclasses.replace(base, N=n, d_max=d_max, c_veh=max(base.c_veh, n))
+    return _derive(base, n, N=n, d_max=d_max, c_veh=max(base.c_veh, n))
 
 
 def _cmd_compare(config: dict) -> dict[str, str]:
-    values = config.get("sweep_values")
-    if not values:
-        raise ConfigError("compare_baselines needs sweep_values (driver counts)")
-    try:
-        c_frac = float(config["service_fraction"])
-        c_cost = float(config["economic_cost"])
-    except KeyError as exc:
-        raise ConfigError(f"missing baseline parameter: {exc}") from exc
-    opts_frac = config.get("robustness_fractions", [0.5, 0.8, 0.95])
-    opts_cost = config.get("robustness_costs", [0.5, 1.0, 1.5])
+    values = _numbers(config, "sweep_values", _whole(0), "driver counts (whole numbers >= 0)")
+    fraction, positive = (lambda v: 0 < v < 1), (lambda v: v > 0)
+    c_frac = _number("service_fraction", config.get("service_fraction"), fraction, "in (0, 1)")
+    c_cost = _number("economic_cost", config.get("economic_cost"), positive, "> 0")
+    opts_frac = _numbers(config, "robustness_fractions", fraction, "numbers in (0, 1)",
+                         [0.5, 0.8, 0.95])
+    opts_cost = _numbers(config, "robustness_costs", positive, "numbers > 0", [0.5, 1.0, 1.5])
     rows = []
     robust_rows = []
     for n in values:

@@ -1,17 +1,22 @@
 """Piecewise-linear envelopes of the reward and of squared deviations.
 
-Both constructions use chords through consecutive integer supply values, so
-the linearization is exact wherever the supply is integral. Every piece ends
-at an integer breakpoint, so a model can split the supply into one bounded
-segment per piece with an integral width.
+Both constructions use chords through an increasing sequence of integer
+breakpoints. With every integer of [lo, hi] as a breakpoint, the
+linearization is exact wherever the supply is integral; coarser breakpoints
+give a chord under-estimate (reward) or over-estimate (squared deviation).
+Every piece ends at an integer breakpoint, so a model can split the supply
+into one bounded segment per piece with an integral width.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .domain import RewardParams, reward
+import numpy as np
+
+from .domain import RewardParams
 
 __all__ = [
     "ConcavePL",
@@ -37,80 +42,137 @@ class LinearPiece:
         if not (math.isfinite(self.slope) and math.isfinite(self.intercept)):
             raise ValueError("piece coefficients must be finite")
 
-    def __call__(self, y: float) -> float:
-        return self.slope * y + self.intercept
+
+class _Pieces(Sequence):
+    """The pieces of an envelope as `LinearPiece`s, each made when read, so
+    taking the count makes none; equal to any sequence of the same pieces."""
+
+    def __init__(self, env: _PiecewiseLinear):
+        self._env = env
+
+    def __len__(self) -> int:
+        return len(self._env.slopes)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self)[k]
+        env = self._env
+        return LinearPiece(float(env.slopes[k]), float(env.intercepts[k]), int(env.ends[k]))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and tuple(self) == tuple(other)
 
 
-@dataclass(frozen=True)
 class _PiecewiseLinear:
-    """Pieces in order of their breakpoints: piece k spans [end_{k-1}, end_k], end_0 = 0."""
+    """Pieces in order of their breakpoints: piece k spans [end_{k-1}, end_k],
+    with end_0 = start. Stored as arrays `slopes`, `intercepts` and `ends`."""
 
-    pieces: tuple[LinearPiece, ...]
+    _slope_order = 0  # sign every difference of consecutive slopes must have
 
-    def __post_init__(self):
-        if not self.pieces:
+    def __init__(self, pieces: Sequence[LinearPiece], start: int = 0):
+        slopes = np.array([p.slope for p in pieces], dtype=float)
+        intercepts = np.array([p.intercept for p in pieces], dtype=float)
+        ends = np.array([p.end for p in pieces], dtype=np.int64)
+        if not len(slopes):
             raise ValueError("need at least one piece")
-        ends = [0] + [p.end for p in self.pieces]
-        if any(b <= a for a, b in zip(ends, ends[1:])):
-            raise ValueError("piece ends must strictly increase from 0")
+        if not (np.all(np.isfinite(slopes)) and np.all(np.isfinite(intercepts))):
+            raise ValueError("piece coefficients must be finite")
+        widths = np.diff(ends, prepend=start)
+        if np.any(widths <= 0):
+            raise ValueError("piece ends must strictly increase from the start")
+        self._set(slopes, intercepts, ends, widths, start)
 
-    def widths(self) -> list[int]:
+    def _set(self, slopes, intercepts, ends, widths, start, monotone=False):
+        """Store the pieces; `monotone` says the slopes are known to be ordered."""
+        if not monotone and np.count_nonzero((slopes[1:] - slopes[:-1]) * self._slope_order <= 0):
+            order = "increase" if self._slope_order > 0 else "decrease"
+            raise ValueError(f"slopes must strictly {order}")
+        self.slopes, self.intercepts, self.ends, self._widths = slopes, intercepts, ends, widths
+        self.start = int(start)
+        self.start_value = float(slopes[0] * start + intercepts[0])
+
+    @classmethod
+    def _through(cls, breakpoints: np.ndarray, values: np.ndarray):
+        """Chords through (breakpoints[k], values[k]), merging equal slopes."""
+        widths = breakpoints[1:] - breakpoints[:-1]
+        slopes = (values[1:] - values[:-1]) / widths
+        starts, ends, values = breakpoints[:-1], breakpoints[1:], values[:-1]
+        # consecutive slopes ordered and apart by at least the merge tolerance
+        apart = not np.count_nonzero((slopes[1:] - slopes[:-1]) * cls._slope_order
+                                     < _SLOPE_MERGE_TOL)
+        if not apart:
+            first = _run_starts(slopes.tolist())
+            slopes, starts, values = slopes[first], starts[first], values[first]
+            ends = np.append(starts[1:], breakpoints[-1])
+            widths = ends - starts
+        env = cls.__new__(cls)
+        env._set(slopes, values - slopes * starts, ends, widths, breakpoints[0], apart)
+        return env
+
+    @property
+    def pieces(self) -> _Pieces:
+        return _Pieces(self)
+
+    def widths(self) -> np.ndarray:
         """Integer supply range spanned by each piece."""
-        ends = [0] + [p.end for p in self.pieces]
-        return [b - a for a, b in zip(ends, ends[1:])]
+        return self._widths
 
 
-@dataclass(frozen=True)
 class ConcavePL(_PiecewiseLinear):
     """Concave piecewise-linear function: min over pieces, slopes decreasing."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        slopes = [p.slope for p in self.pieces]
-        if any(b >= a for a, b in zip(slopes, slopes[1:])):
-            raise ValueError("slopes must strictly decrease")
+    _slope_order = -1
 
     def evaluate(self, y: float) -> float:
-        return min(p(y) for p in self.pieces)
+        return float(np.min(self.slopes * y + self.intercepts))
 
 
-@dataclass(frozen=True)
 class ConvexPL(_PiecewiseLinear):
     """Convex piecewise-linear function: max over pieces, slopes increasing."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        slopes = [p.slope for p in self.pieces]
-        if any(b <= a for a, b in zip(slopes, slopes[1:])):
-            raise ValueError("slopes must strictly increase")
+    _slope_order = 1
 
     def evaluate(self, y: float) -> float:
-        return max(p(y) for p in self.pieces)
+        return float(np.max(self.slopes * y + self.intercepts))
 
 
-def _chords(values: list[float]) -> list[LinearPiece]:
-    """Chords through the integer nodes (i, values[i]), merging equal slopes."""
-    chords: list[list] = []  # [slope, intercept, end]
-    for i in range(1, len(values)):
-        slope = values[i] - values[i - 1]
-        if chords and abs(slope - chords[-1][0]) < _SLOPE_MERGE_TOL:
-            chords[-1][2] = i
-        else:
-            chords.append([slope, values[i - 1] - slope * (i - 1), i])
-    return [LinearPiece(slope=m, intercept=b, end=e) for m, b, e in chords]
+def _run_starts(slopes: list[float]) -> list[int]:
+    """Index of the first chord of each run; a chord joins the current run
+    while its slope is within _SLOPE_MERGE_TOL of the run's first slope."""
+    starts = [0]
+    for i, slope in enumerate(slopes):
+        if abs(slope - slopes[starts[-1]]) >= _SLOPE_MERGE_TOL:
+            starts.append(i)
+    return starts
 
 
-def concavify_reward(p: RewardParams, y_max: int) -> ConcavePL:
-    """Integer-exact concave chord envelope of the reward on [0, y_max]."""
-    if y_max < 1:
-        raise ValueError("y_max must be >= 1")
-    values = [reward(float(y), p) for y in range(y_max + 1)]
-    return ConcavePL(pieces=tuple(_chords(values)))
+def _breakpoints(breakpoints: int | Sequence[int]) -> np.ndarray:
+    """Breakpoints as an int array; an int y_max stands for 0, 1, ..., y_max."""
+    if isinstance(breakpoints, (int, np.integer)):
+        if breakpoints < 1:
+            raise ValueError("y_max must be >= 1")
+        return np.arange(breakpoints + 1)
+    b = np.asarray(breakpoints, dtype=np.int64)
+    if len(b) < 2 or b[0] < 0 or np.count_nonzero(b[1:] <= b[:-1]):
+        raise ValueError("need at least two increasing non-negative breakpoints")
+    return b
 
 
-def convexify_sq_dev(target: float, y_max: int) -> ConvexPL:
-    """Integer-exact convex chord envelope of (y - target)^2 on [0, y_max]."""
-    if y_max < 1:
-        raise ValueError("y_max must be >= 1")
-    values = [(float(y) - target) ** 2 for y in range(y_max + 1)]
-    return ConvexPL(pieces=tuple(_chords(values)))
+def concavify_reward(p: RewardParams, breakpoints: int | Sequence[int]) -> ConcavePL:
+    """Concave chord envelope of the reward through the given breakpoints.
+
+    An int y_max gives the envelope that is exact at every integer in [0, y_max].
+    """
+    b = _breakpoints(breakpoints)
+    y = b.astype(float)
+    values = np.zeros_like(y) if p.d == 0 else p.d * (1.0 - np.exp(-p.a * y / p.d))
+    return ConcavePL._through(b, values)
+
+
+def convexify_sq_dev(target: float, breakpoints: int | Sequence[int]) -> ConvexPL:
+    """Convex chord envelope of (y - target)^2 through the given breakpoints.
+
+    An int y_max gives the envelope that is exact at every integer in [0, y_max].
+    """
+    b = _breakpoints(breakpoints)
+    return ConvexPL._through(b, (b.astype(float) - target) ** 2)

@@ -7,11 +7,15 @@ step's concave reward or convex squared deviation enters through its chord
 envelope: every piece becomes a segment column u in [0, width] with the
 piece's slope as gain, and y_t is the sum of its step's segments. With x,
 y and z tied by window sums, the constraint matrix is totally unimodular, so
-one LP solve yields an integral optimum.
+every LP solve yields an integral optimum. `plan` and `plan_baseline` solve
+on per-step windows of the envelope, refined from coarse to fine until the
+optimum certifies itself for the full program (proximity scaling for
+separable concave objectives; Hochbaum 1994, Math. OR 19(2)).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +45,9 @@ __all__ = [
     "plan",
     "plan_baseline",
 ]
+
+_COARSE_PIECES = 64  # round 1 splits [0, y_max] into at most this many pieces
+_REACH = 2  # later rounds start at y_t +- _REACH * (round 1's stride)
 
 
 class PlanningError(Exception):
@@ -72,15 +79,21 @@ class PlanResult:
     mip_objective: float  # chord envelopes at the plan's supply: reward, or total sq. deviation
     true_reward: float
     solve_status: SolveStatus
-    nodes: int  # LP solves
+    nodes: int  # LP rounds: 1 when y_max <= 64
 
 
 def _segment_model(
     scenario: Scenario, envelopes: list[ConcavePL] | list[ConvexPL], sign: float
 ) -> MilpModel:
-    """max sign * sum_t envelope_t(y_t) over plans, with columns x, y, z, u."""
+    """max sign * sum_t envelope_t(y_t) over plans, with columns x, y, z, u.
+
+    Step t's envelope spans its window [lo_t, hi_t]: y_t - sum of its
+    segments = lo_t, with y_t bounded to the window.
+    """
     T, N = scenario.T, scenario.N
     widths = [env.widths() for env in envelopes]
+    lo = np.array([env.start for env in envelopes], dtype=float)
+    hi = np.minimum([env.ends[-1] for env in envelopes], min(scenario.c_veh, N))
     step = np.repeat(np.arange(T), [len(w) for w in widths])
     n_seg = len(step)
     eye = sparse.identity(T, format="csr")
@@ -94,19 +107,14 @@ def _segment_model(
         ],
         format="csr",
     )
-    b_eq = np.zeros(3 * T + 1)
-    b_eq[2 * T] = scenario.total_shifts
-    slopes = [p.slope for env in envelopes for p in env.pieces]
-    offset = sum(env.pieces[0].intercept for env in envelopes)  # sum_t envelope_t(0)
+    b_eq = np.concatenate([np.zeros(2 * T), [scenario.total_shifts], lo])
+    offset = sum(env.start_value for env in envelopes)  # sum_t envelope_t(lo_t)
     steps = range(1, T + 1)
     seg_names = [f"u_{t}_{k}" for t, w in zip(steps, widths) for k in range(1, len(w) + 1)]
     return MilpModel(
-        objective=np.concatenate([np.zeros(3 * T), sign * np.asarray(slopes)]),
-        lower=np.zeros(3 * T + n_seg),
-        upper=np.concatenate(
-            [np.full(T, N), np.full(T, min(scenario.c_veh, N)), np.full(T, N),
-             np.concatenate(widths)]
-        ),
+        objective=np.concatenate([np.zeros(3 * T)] + [sign * env.slopes for env in envelopes]),
+        lower=np.concatenate([np.zeros(T), lo, np.zeros(T + n_seg)]),
+        upper=np.concatenate([np.full(T, N), hi, np.full(T, N)] + widths),
         is_integer=np.arange(3 * T + n_seg) < T,
         names=[f"{v}_{t}" for v in "xyz" for t in steps] + seg_names,
         A_eq=A_eq,
@@ -119,56 +127,92 @@ def _y_max(scenario: Scenario) -> int:
     return max(1, min(scenario.c_veh, scenario.N))
 
 
-def _reward_envelopes(scenario: Scenario) -> list[ConcavePL]:
-    y_max = _y_max(scenario)
-    return [
-        concavify_reward(RewardParams(d=float(d), a=scenario.a), y_max)
-        for d in demand_vector(scenario)
-    ]
+# Step t's envelope over the given breakpoints
+_EnvelopeFn = Callable[[int, np.ndarray], "ConcavePL | ConvexPL"]
 
 
-def _deviation_envelopes(scenario: Scenario, desired: np.ndarray) -> list[ConvexPL]:
+def _reward_envelope(scenario: Scenario) -> _EnvelopeFn:
+    params = [RewardParams(d=float(d), a=scenario.a) for d in demand_vector(scenario)]
+    return lambda t, breakpoints: concavify_reward(params[t], breakpoints)
+
+
+def _deviation_envelope(scenario: Scenario, desired: np.ndarray) -> _EnvelopeFn:
     desired = np.asarray(desired, dtype=float)
     if desired.shape != (scenario.T,):
         raise ValueError(f"desired supply must have length {scenario.T}")
     if np.any(desired < 0):
         raise ValueError("desired supply must be non-negative")
+    targets = desired.tolist()
+    return lambda t, breakpoints: convexify_sq_dev(targets[t], breakpoints)
+
+
+def _full_model(scenario: Scenario, envelope: _EnvelopeFn, sign: float) -> MilpModel:
     y_max = _y_max(scenario)
-    return [convexify_sq_dev(float(target), y_max) for target in desired]
+    return _segment_model(scenario, [envelope(t, y_max) for t in range(scenario.T)], sign)
 
 
 def build_reward_mip(scenario: Scenario) -> MilpModel:
     """Reward-maximizing program over the chord envelopes of the reward."""
-    return _segment_model(scenario, _reward_envelopes(scenario), 1.0)
+    return _full_model(scenario, _reward_envelope(scenario), 1.0)
 
 
 def build_deviation_mip(scenario: Scenario, desired: np.ndarray) -> MilpModel:
     """Baseline program: maximize minus the sum of squared deviations from `desired`."""
-    return _segment_model(scenario, _deviation_envelopes(scenario, desired), -1.0)
+    return _full_model(scenario, _deviation_envelope(scenario, desired), -1.0)
 
 
-def _solve(
-    scenario: Scenario, envelopes: list[ConcavePL] | list[ConvexPL], sign: float
-) -> PlanResult:
-    sol = milp_solve(_segment_model(scenario, envelopes, sign))
-    if sol.status is SolveStatus.INFEASIBLE:
-        raise PlanningError(sol.status, f"no plan: solver status {sol.status.value}")
-    T = scenario.T
+def _solve(scenario: Scenario, envelope: _EnvelopeFn, sign: float) -> PlanResult:
+    """Optimum of the full program, solved on windows refined from coarse to fine.
+
+    Round 1 spans every step's [0, y_max] with breakpoints `stride` apart;
+    with y_max <= _COARSE_PIECES that is the full program. Later rounds use
+    every integer of a window around the last supply, and widen a window side
+    (each time twice as far as before) while the supply sits on it. The last
+    round has no supply on a window side other than 0 or y_max: its windowed
+    objective equals the full envelope on a neighbourhood of its optimum, so
+    by concavity that optimum is also optimal for the full program.
+    """
+    T, y_max = scenario.T, _y_max(scenario)
+    stride = -(-y_max // _COARSE_PIECES)
+    coarse = np.append(np.arange(0, y_max, stride), y_max)
+    envelopes = [envelope(t, coarse) for t in range(T)]
+    lo, hi = np.zeros(T, dtype=np.int64), np.full(T, y_max)
+    reach_lo, reach_hi = np.full(T, _REACH * stride), np.full(T, _REACH * stride)
+    rounds = 0
+    while True:
+        sol = milp_solve(_segment_model(scenario, envelopes, sign))
+        rounds += 1
+        if sol.status is SolveStatus.INFEASIBLE:
+            raise PlanningError(sol.status, f"no plan: solver status {sol.status.value}")
+        y = sol.values[T : 2 * T].astype(np.int64)
+        if rounds == 1 and stride > 1:
+            changed = np.ones(T, dtype=bool)
+            lo, hi = np.maximum(y - reach_lo, 0), np.minimum(y + reach_hi, y_max)
+        else:
+            low, high = (y == lo) & (lo > 0), (y == hi) & (hi < y_max)
+            changed = low | high
+            if not changed.any():
+                break
+            reach_lo[low] *= 2
+            reach_hi[high] *= 2
+            lo[low] = np.maximum(lo[low] - reach_lo[low], 0)
+            hi[high] = np.minimum(hi[high] + reach_hi[high], y_max)
+        for t in np.flatnonzero(changed):
+            envelopes[t] = envelope(t, np.arange(lo[t], hi[t] + 1))
     plan_vec = ShiftPlan(x=sol.values[:T].astype(np.int64))
-    y = sol.values[T : 2 * T]
     return PlanResult(
         plan=plan_vec,
         supply=supply_curve(plan_vec, scenario),
         mip_objective=sum(env.evaluate(float(yt)) for env, yt in zip(envelopes, y)),
         true_reward=total_reward(plan_vec, scenario),
         solve_status=sol.status,
-        nodes=sol.nodes_explored,
+        nodes=rounds,
     )
 
 
 def plan(scenario: Scenario) -> PlanResult:
     """Solve the reward-maximizing program and extract the plan."""
-    return _solve(scenario, _reward_envelopes(scenario), 1.0)
+    return _solve(scenario, _reward_envelope(scenario), 1.0)
 
 
 def plan_baseline(
@@ -181,4 +225,4 @@ def plan_baseline(
         desired = benchmark.economic_standard_supply(scenario, standard.cost)
     else:
         raise TypeError(f"unknown standard {standard!r}")
-    return _solve(scenario, _deviation_envelopes(scenario, desired), -1.0)
+    return _solve(scenario, _deviation_envelope(scenario, desired), -1.0)

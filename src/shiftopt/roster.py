@@ -11,6 +11,7 @@ satisfies the total-shift and extended-shift constraints.
 from __future__ import annotations
 
 import csv
+import heapq
 import io
 from dataclasses import dataclass
 
@@ -76,19 +77,22 @@ def greedy_assign(plan: ShiftPlan, scenario: Scenario) -> Roster:
     if len(plan) != scenario.T:
         raise ValueError(f"plan length {len(plan)} != T={scenario.T}")
     length = scenario.delta + scenario.beta
-    avail = [0] * scenario.N  # step at which each driver may start again
     counts = [0] * scenario.N
+    free = [(0, i) for i in range(scenario.N)]  # heap of available (count, driver)
+    busy: list[tuple[int, int]] = []  # heap of (step the driver is free again, driver)
     assignments: list[list[ExtendedShift]] = [[] for _ in range(scenario.N)]
     for t in range(1, scenario.T + 1):
+        while busy and busy[0][0] <= t:
+            i = heapq.heappop(busy)[1]
+            heapq.heappush(free, (counts[i], i))
         for _ in range(int(plan.x[t - 1])):
-            candidates = [i for i in range(scenario.N) if avail[i] <= t]
-            if not candidates:
+            if not free:
                 raise ValueError(
                     f"no driver available at step {t}: plan violates z_t <= N"
                 )
-            i = min(candidates, key=lambda i: (counts[i], i))
+            i = heapq.heappop(free)[1]
             assignments[i].append(ExtendedShift(start=t, end=t + length))
-            avail[i] = t + length
+            heapq.heappush(busy, (t + length, i))
             counts[i] += 1
     return Roster(assignments=tuple(tuple(a) for a in assignments))
 

@@ -12,3 +12,14 @@ def headline_scenario():
 @pytest.fixture(scope="session")
 def headline_result(headline_scenario):
     return plan(headline_scenario)
+
+
+@pytest.fixture(scope="session")
+def large_fleet_scenario():
+    """The largest large-fleet week: 400 drivers, as many vehicles."""
+    return Scenario(T=168, N=400, s=5, delta=8, beta=8, d_max=400.0, a=2.0, c_veh=400)
+
+
+@pytest.fixture(scope="session")
+def large_fleet_result(large_fleet_scenario):
+    return plan(large_fleet_scenario)

@@ -1,5 +1,6 @@
 """Independent oracles used by the tests: brute-force plan enumeration,
-random feasible-plan sampling, and a minimal CPLEX-LP-format reader."""
+random feasible-plan sampling, a minimal CPLEX-LP-format reader, and the
+quadratic scan that defines greedy rostering."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import re
 import numpy as np
 
 from shiftopt.domain import Scenario, ShiftPlan, supply_curve, total_reward
+from shiftopt.roster import ExtendedShift, Roster
 
 
 def enumerate_feasible_plans(scenario: Scenario):
@@ -52,6 +54,25 @@ def sample_feasible_plan(scenario: Scenario, rng: np.random.Generator, tries: in
         if curve.y.max(initial=0) <= scenario.c_veh and curve.z.max(initial=0) <= scenario.N:
             return plan
     return None
+
+
+def greedy_assign_by_scan(plan: ShiftPlan, scenario: Scenario) -> Roster:
+    """Greedy rostering by its definition: each shift start scans all drivers
+    and takes the available one with the fewest shifts, then the lowest index."""
+    length = scenario.delta + scenario.beta
+    avail = [0] * scenario.N
+    counts = [0] * scenario.N
+    assignments: list[list[ExtendedShift]] = [[] for _ in range(scenario.N)]
+    for t in range(1, scenario.T + 1):
+        for _ in range(int(plan.x[t - 1])):
+            candidates = [i for i in range(scenario.N) if avail[i] <= t]
+            if not candidates:
+                raise ValueError(f"no driver available at step {t}: plan violates z_t <= N")
+            i = min(candidates, key=lambda i: (counts[i], i))
+            assignments[i].append(ExtendedShift(start=t, end=t + length))
+            avail[i] = t + length
+            counts[i] += 1
+    return Roster(assignments=tuple(tuple(a) for a in assignments))
 
 
 _TERM = re.compile(r"([+-]?)\s*(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)?\s*([A-Za-z_][\w]*)")

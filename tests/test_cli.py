@@ -1,12 +1,17 @@
 import json
+import math
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shiftopt.cli import (
     EXIT_BAD_CONFIG,
     EXIT_INFEASIBLE,
+    EXIT_IO,
     EXIT_OK,
     EXIT_VERIFICATION,
     main,
@@ -188,6 +193,84 @@ class TestCompareCommand:
         assert code == EXIT_OK
         _, rows = read_csv(str(out / "compare.csv"))
         assert rows[0][1:] == [1.0, 1.0, 1.0]
+
+
+def _compare_config(**kw):
+    config = {
+        "kind": "compare_baselines",
+        "scenario": base_scenario(),
+        "sweep_values": [2],
+        "service_fraction": 0.8,
+        "economic_cost": 1.0,
+    }
+    config.update(kw)
+    return config
+
+
+class TestConfigErrors:
+    """Configs that used to end in a traceback with exit 1."""
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            # delta = 16 > T = 12
+            ("sweep", {"kind": "sweep_shift_length", "scenario": base_scenario(N=16, c_veh=16),
+                       "sweep_values": [16]}),
+            ("sweep", {"kind": "sweep_drivers", "scenario": base_scenario(),
+                       "sweep_values": ["a"]}),
+            ("sweep", {"kind": "sweep_drivers", "scenario": base_scenario(), "sweep_values": 5}),
+            # the work held fixed is zero, so supply cannot be normalised by it
+            ("sweep", {"kind": "sweep_shift_length", "scenario": base_scenario(N=0),
+                       "sweep_values": [2]}),
+            ("compare", _compare_config(sweep_values=["x"])),
+            ("compare", _compare_config(service_fraction=1.5)),
+            ("compare", _compare_config(economic_cost="1")),
+            ("compare", _compare_config(d_max_per_driver="a")),
+        ],
+        ids=["delta-above-T", "text-value", "scalar-values", "zero-work",
+             "text-driver-count", "fraction-above-1", "text-cost", "text-per-driver"],
+    )
+    def test_exit_2_with_one_line(self, tmp_path, capsys, command, config):
+        code, out = run(tmp_path, command, config)
+        assert code == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=2), st.integers(-2, 6),
+    st.floats(-3.0, 6.0), st.sampled_from([math.nan, math.inf, -math.inf, 1.5, 0.5]),
+)
+_JUNK_OR_LIST = st.one_of(_JUNK, st.lists(_JUNK, max_size=3))
+_FIELDS = {
+    "sweep_values": _JUNK_OR_LIST,
+    "service_fraction": _JUNK,
+    "economic_cost": _JUNK,
+    "d_max_per_driver": _JUNK,
+    "scale_c_veh": _JUNK,
+    "robustness_fractions": _JUNK_OR_LIST,
+    "robustness_costs": _JUNK_OR_LIST,
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(
+        ["sweep_drivers", "sweep_shifts_per_driver", "sweep_shift_length", "compare_baselines"]
+    ),
+    fields=st.fixed_dictionaries({}, optional=_FIELDS),
+    N=st.integers(0, 4), s=st.integers(1, 2), delta=st.integers(1, 4),
+    c_veh=st.integers(0, 5),
+)
+def test_config_fuzz_never_exit_1(kind, fields, N, s, delta, c_veh):
+    """Sweep and compare configs either run or fail with a documented exit code."""
+    config = {"kind": kind, "scenario": base_scenario(N=N, s=s, delta=delta, c_veh=c_veh),
+              **fields}
+    command = "compare" if kind == "compare_baselines" else "sweep"
+    with tempfile.TemporaryDirectory() as tmp:
+        code, _ = run(Path(tmp), command, config)
+    assert code in (EXIT_OK, EXIT_BAD_CONFIG, EXIT_INFEASIBLE, EXIT_IO)
 
 
 class TestRosterCommand:

@@ -78,6 +78,51 @@ class TestConvexifySqDev:
         assert sum(pl.widths()) == y_max
 
 
+class TestWindowedEnvelopes:
+    """An envelope over the integers of [lo, hi] is the full one restricted."""
+
+    @given(
+        d=st.floats(0.0, 50), a=st.floats(0.1, 5), y_max=st.integers(1, 80),
+        data=st.data(),
+    )
+    def test_reward_window_equals_full(self, d, a, y_max, data):
+        lo = data.draw(st.integers(0, y_max - 1))
+        hi = data.draw(st.integers(lo + 1, y_max))
+        p = RewardParams(d=d, a=a)
+        full, window = concavify_reward(p, y_max), concavify_reward(p, range(lo, hi + 1))
+        assert window.start == lo and window.ends[-1] == hi
+        assert sum(window.widths()) == hi - lo
+        for k in range(lo, hi + 1):
+            # merged tail pieces (slopes within 1e-12) start at different breakpoints
+            assert window.evaluate(k) == pytest.approx(full.evaluate(k), abs=1e-9)
+
+    @given(target=st.floats(0, 90), y_max=st.integers(1, 80), data=st.data())
+    def test_sq_dev_window_equals_full(self, target, y_max, data):
+        lo = data.draw(st.integers(0, y_max - 1))
+        hi = data.draw(st.integers(lo + 1, y_max))
+        full, window = convexify_sq_dev(target, y_max), convexify_sq_dev(target, range(lo, hi + 1))
+        assert window.start == lo and window.ends[-1] == hi
+        assert sum(window.widths()) == hi - lo
+        for k in range(lo, hi + 1):
+            assert window.evaluate(k) == pytest.approx(full.evaluate(k), abs=1e-9)
+
+    def test_coarse_breakpoints_bound_the_reward(self):
+        p = RewardParams(d=10.0, a=2.0)
+        coarse = concavify_reward(p, [0, 4, 8, 9])
+        assert [int(e) for e in coarse.ends] == [4, 8, 9]
+        assert list(coarse.widths()) == [4, 4, 1]
+        for k in (0, 4, 8, 9):
+            assert coarse.evaluate(k) == pytest.approx(reward(k, p), abs=1e-12)
+        for k in range(10):
+            assert coarse.evaluate(k) <= reward(k, p) + 1e-12
+
+    def test_breakpoints_must_increase(self):
+        with pytest.raises(ValueError):
+            concavify_reward(RewardParams(d=1.0, a=1.0), [0, 2, 2])
+        with pytest.raises(ValueError):
+            convexify_sq_dev(1.0, [3])
+
+
 class TestEvalPl:
     def test_single_line(self):
         assert ConcavePL(pieces=(LinearPiece(1.0, 0.0, 1),)).evaluate(3.0) == 3.0

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from shiftopt import (
     Boundary,
@@ -18,7 +19,7 @@ from shiftopt import (
     supply_curve,
     total_reward,
 )
-from shiftopt import milp
+from shiftopt import benchmark, milp
 from shiftopt.planner import EconomicStandard, ServiceStandard
 
 from oracles import best_plan_by_enumeration
@@ -117,6 +118,37 @@ class TestPlan:
         assert plan_baseline(sc, ServiceStandard(0.8)).nodes == 1
         assert len(calls) == 2
 
+    def test_windowed_rounds_end_inside_their_windows(self, monkeypatch):
+        bounds = []
+        real = milp.linprog
+        monkeypatch.setattr(
+            milp, "linprog", lambda *a, **kw: bounds.append(kw["bounds"]) or real(*a, **kw)
+        )
+        sc = Scenario(T=48, N=120, s=2, delta=6, beta=4, d_max=120.0, a=2.0, c_veh=100)
+        for solve in (plan, lambda sc: plan_baseline(sc, ServiceStandard(0.8))):
+            bounds.clear()
+            result = solve(sc)
+            assert result.nodes >= 2
+            assert len(bounds) == result.nodes
+            lo, hi = bounds[-1][sc.T : 2 * sc.T].T
+            y = result.supply.y
+            # a window side other than 0 or y_max = 100 never holds the final supply
+            assert np.all((lo == 0) | (y > lo))
+            assert np.all((hi == 100) | (y < hi))
+            assert np.any((lo > 0) | (hi < 100))
+
+    def test_largest_round_is_a_quarter_of_the_full_model(
+        self, monkeypatch, large_fleet_scenario
+    ):
+        columns = []
+        real = milp.linprog
+        monkeypatch.setattr(
+            milp, "linprog", lambda c, *a, **kw: columns.append(len(c)) or real(c, *a, **kw)
+        )
+        plan(large_fleet_scenario)
+        assert len(columns) >= 2
+        assert max(columns) <= 0.25 * build_reward_mip(large_fleet_scenario).n_vars
+
     def test_plan_invariants(self, headline_scenario, headline_result):
         sc, res = headline_scenario, headline_result
         assert res.plan.total == sc.s * sc.N
@@ -162,3 +194,49 @@ class TestPlanBaseline:
         for standard in (ServiceStandard(0.8), EconomicStandard(1.0)):
             base = plan_baseline(sc, standard)
             assert base.true_reward <= ours.true_reward + 1e-9
+
+
+def _full_and_windowed(sc: Scenario, kind: str):
+    """(full-model solution, exact objective of a plan as a maximum, windowed solve)."""
+    if kind == "reward":
+        return (milp_solve(build_reward_mip(sc)), lambda x: total_reward(ShiftPlan(x=x), sc),
+                lambda: plan(sc))
+    standard = ServiceStandard(0.8) if kind == "service" else EconomicStandard(1.0)
+    desired = (benchmark.service_standard_supply(sc, 0.8) if kind == "service"
+               else benchmark.economic_standard_supply(sc, 1.0))
+
+    def minus_sq_dev(x):
+        return -float(((supply_curve(ShiftPlan(x=x), sc).y - desired) ** 2).sum())
+
+    return milp_solve(build_deviation_mip(sc, desired)), minus_sq_dev, (
+        lambda: plan_baseline(sc, standard))
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    T=st.integers(6, 24), y_max=st.integers(65, 250), extra_n=st.integers(0, 40),
+    s=st.integers(1, 3), delta=st.integers(1, 6), beta=st.integers(0, 6),
+    d_per_driver=st.floats(0.05, 2.0), a=st.floats(0.5, 3.0),
+    boundary=st.sampled_from(list(Boundary)),
+)
+def test_windowed_solve_matches_full_model(T, y_max, extra_n, s, delta, beta,
+                                           d_per_driver, a, boundary):
+    """Coarse-to-fine windows reach the full model's exact objective, and fail
+    exactly when it is infeasible."""
+    N = y_max + extra_n
+    sc = Scenario(T=T, N=N, s=s, delta=min(delta, T), beta=beta, d_max=d_per_driver * N,
+                  a=a, c_veh=y_max, boundary=boundary)
+    for kind in ("reward", "service", "economic"):
+        full, exact, windowed = _full_and_windowed(sc, kind)
+        if full.status is SolveStatus.INFEASIBLE:
+            with pytest.raises(PlanningError):
+                windowed()
+            continue
+        result = windowed()
+        x = result.plan.x
+        assert result.plan.total == sc.total_shifts
+        assert result.supply.y.max() <= sc.c_veh and result.supply.z.max() <= sc.N
+        ours, reference = exact(x), exact(full.values[:T])
+        sign = 1.0 if kind == "reward" else -1.0
+        assert sign * result.mip_objective == pytest.approx(ours, rel=1e-9, abs=1e-9)
+        assert ours == pytest.approx(reference, rel=1e-9)

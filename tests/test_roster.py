@@ -14,7 +14,7 @@ from shiftopt import (
     verify_roster,
 )
 
-from oracles import sample_feasible_plan
+from oracles import greedy_assign_by_scan, sample_feasible_plan
 
 
 def scenario(**kw):
@@ -64,6 +64,35 @@ class TestGreedyAssign:
         sc = scenario(boundary=Boundary.CIRCULAR)
         with pytest.raises(ValueError, match="zero-padded"):
             greedy_assign(ShiftPlan(x=np.zeros(8, dtype=int)), sc)
+
+
+class TestGreedyAssignMatchesScan:
+    """The heap-based greedy_assign against the quadratic scan that defines it."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_plans(self, seed):
+        rng = np.random.default_rng([seed, 7])
+        sc = scenario(
+            T=int(rng.integers(4, 40)),
+            N=int(rng.integers(1, 12)),
+            delta=int(rng.integers(1, 4)),
+            beta=int(rng.integers(0, 4)),
+        )
+        # unconstrained draws: some plans need more than N drivers at once
+        plan = ShiftPlan(x=rng.integers(0, 3, size=sc.T) * (rng.random(sc.T) < 0.5))
+        try:
+            expected = greedy_assign_by_scan(plan, sc)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                greedy_assign(plan, sc)
+        else:
+            assert greedy_assign(plan, sc) == expected
+
+    def test_large_fleet_plan(self, large_fleet_scenario, large_fleet_result):
+        plan = large_fleet_result.plan
+        roster = greedy_assign(plan, large_fleet_scenario)
+        assert roster == greedy_assign_by_scan(plan, large_fleet_scenario)
+        assert roster.n_drivers == 400
 
 
 class TestRebalance:
