@@ -30,13 +30,7 @@ from .milp import (
     lp_solve,
     milp_solve,
 )
-from .piecewise import (
-    ConcavePL,
-    ConvexPL,
-    LinearPiece,
-    concavify_reward,
-    convexify_sq_dev,
-)
+from .piecewise import Envelopes, concavify_reward, convexify_sq_dev
 from .planner import (
     EconomicStandard,
     PlanningError,

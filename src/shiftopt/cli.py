@@ -57,7 +57,7 @@ def _load_config(path: str) -> dict:
         raise ConfigError("config is missing the scenario object")
     try:
         obj["_scenario"] = Scenario.from_dict(obj["scenario"])
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad scenario: {exc}") from exc
     return obj
 
@@ -296,9 +296,12 @@ def _cmd_compare(config: dict) -> dict[str, str]:
 def _cmd_roster(config: dict) -> dict[str, str]:
     scenario: Scenario = config["_scenario"]
     if "plan" in config:
-        plan_vec = ShiftPlan(x=np.asarray(config["plan"]))
-        if len(plan_vec) != scenario.T:
+        most = scenario.total_shifts  # no plan has a larger entry
+        x = _numbers(config, "plan", lambda v: _whole(0)(v) and v <= most,
+                     f"whole numbers from 0 to s*N = {most}")
+        if len(x) != scenario.T:
             raise ConfigError("plan vector length must equal T")
+        plan_vec = ShiftPlan(x=np.array(x, dtype=np.int64))
     else:
         plan_vec = planner.plan(scenario).plan
     try:

@@ -135,20 +135,27 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Scenario":
+        """Scenario from a JSON object; raises ValueError for a non-numeric
+        field or entry, and for an integer field that is not a whole number."""
         demand = obj.get("demand")
+        ints = {k: _number(k, obj[k], True) for k in ("T", "N", "s", "delta", "beta", "c_veh")}
+        reals = {k: _number(k, obj[k]) for k in ("d_max", "a")}
         return cls(
-            T=int(obj["T"]),
-            N=int(obj["N"]),
-            s=int(obj["s"]),
-            delta=int(obj["delta"]),
-            beta=int(obj["beta"]),
-            d_max=float(obj["d_max"]),
-            a=float(obj["a"]),
-            c_veh=int(obj["c_veh"]),
+            **ints,
+            **reals,
             demand_model=DemandModel(obj.get("demand_model", "envelope_sinusoid")),
-            demand=tuple(demand) if demand is not None else None,
+            demand=None if demand is None else tuple(_number("demand", v) for v in demand),
             boundary=Boundary(obj.get("boundary", "zero_padded")),
         )
+
+
+def _number(key: str, v, whole: bool = False) -> float | int:
+    """v as a float, or as an int if `whole`: a bool, a string, any other
+    non-number and, if `whole`, a fractional or non-finite v raise ValueError."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.number)) or (
+            whole and not isinstance(v, (int, np.integer)) and not float(v).is_integer()):
+        raise ValueError(f"{key} must be a {'whole ' if whole else ''}number, got {v!r}")
+    return int(v) if whole else float(v)
 
 
 @dataclass(frozen=True)

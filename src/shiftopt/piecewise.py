@@ -1,139 +1,65 @@
 """Piecewise-linear envelopes of the reward and of squared deviations.
 
 Both constructions use chords through an increasing sequence of integer
-breakpoints. With every integer of [lo, hi] as a breakpoint, the
-linearization is exact wherever the supply is integral; coarser breakpoints
-give a chord under-estimate (reward) or over-estimate (squared deviation).
-Every piece ends at an integer breakpoint, so a model can split the supply
-into one bounded segment per piece with an integral width.
+breakpoints per time step, and build every step at once. With every integer
+of [lo, hi] as a breakpoint, the linearization is exact wherever the supply
+is integral; coarser breakpoints give a chord under-estimate (reward) or
+over-estimate (squared deviation). Every piece ends at an integer
+breakpoint, so a model can split the supply into one bounded segment per
+piece with an integral width.
 """
 
 from __future__ import annotations
 
-import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import RewardParams
-
-__all__ = [
-    "ConcavePL",
-    "ConvexPL",
-    "LinearPiece",
-    "concavify_reward",
-    "convexify_sq_dev",
-]
+__all__ = ["Envelopes", "concavify_reward", "convexify_sq_dev"]
 
 # chords whose slopes differ by less than this are merged into one piece
 _SLOPE_MERGE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class LinearPiece:
-    """The line slope*y + intercept, used on supply up to the integer `end`."""
+class Envelopes:
+    """The envelopes of steps 0..T-1, their pieces flat and in step order.
 
-    slope: float
-    intercept: float
-    end: int
+    Piece k of step `step[k]` is the line slopes[k]*y + intercepts[k] on
+    supply from the end of the step's previous piece (or from `start`) up to
+    the integer ends[k]; `start_value` is the envelope at `start`. With
+    sign = 1 every envelope is concave (min of its lines, slopes decreasing);
+    with sign = -1 convex (max of its lines, slopes increasing).
+    """
 
-    def __post_init__(self):
-        if not (math.isfinite(self.slope) and math.isfinite(self.intercept)):
-            raise ValueError("piece coefficients must be finite")
-
-
-class _Pieces(Sequence):
-    """The pieces of an envelope as `LinearPiece`s, each made when read, so
-    taking the count makes none; equal to any sequence of the same pieces."""
-
-    def __init__(self, env: _PiecewiseLinear):
-        self._env = env
-
-    def __len__(self) -> int:
-        return len(self._env.slopes)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(self)[k]
-        env = self._env
-        return LinearPiece(float(env.slopes[k]), float(env.intercepts[k]), int(env.ends[k]))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Sequence) and tuple(self) == tuple(other)
-
-
-class _PiecewiseLinear:
-    """Pieces in order of their breakpoints: piece k spans [end_{k-1}, end_k],
-    with end_0 = start. Stored as arrays `slopes`, `intercepts` and `ends`."""
-
-    _slope_order = 0  # sign every difference of consecutive slopes must have
-
-    def __init__(self, pieces: Sequence[LinearPiece], start: int = 0):
-        slopes = np.array([p.slope for p in pieces], dtype=float)
-        intercepts = np.array([p.intercept for p in pieces], dtype=float)
-        ends = np.array([p.end for p in pieces], dtype=np.int64)
-        if not len(slopes):
-            raise ValueError("need at least one piece")
-        if not (np.all(np.isfinite(slopes)) and np.all(np.isfinite(intercepts))):
-            raise ValueError("piece coefficients must be finite")
-        widths = np.diff(ends, prepend=start)
-        if np.any(widths <= 0):
-            raise ValueError("piece ends must strictly increase from the start")
-        self._set(slopes, intercepts, ends, widths, start)
-
-    def _set(self, slopes, intercepts, ends, widths, start, monotone=False):
-        """Store the pieces; `monotone` says the slopes are known to be ordered."""
-        if not monotone and np.count_nonzero((slopes[1:] - slopes[:-1]) * self._slope_order <= 0):
-            order = "increase" if self._slope_order > 0 else "decrease"
-            raise ValueError(f"slopes must strictly {order}")
-        self.slopes, self.intercepts, self.ends, self._widths = slopes, intercepts, ends, widths
-        self.start = int(start)
-        self.start_value = float(slopes[0] * start + intercepts[0])
-
-    @classmethod
-    def _through(cls, breakpoints: np.ndarray, values: np.ndarray):
-        """Chords through (breakpoints[k], values[k]), merging equal slopes."""
-        widths = breakpoints[1:] - breakpoints[:-1]
-        slopes = (values[1:] - values[:-1]) / widths
-        starts, ends, values = breakpoints[:-1], breakpoints[1:], values[:-1]
-        # consecutive slopes ordered and apart by at least the merge tolerance
-        apart = not np.count_nonzero((slopes[1:] - slopes[:-1]) * cls._slope_order
-                                     < _SLOPE_MERGE_TOL)
-        if not apart:
-            first = _run_starts(slopes.tolist())
-            slopes, starts, values = slopes[first], starts[first], values[first]
-            ends = np.append(starts[1:], breakpoints[-1])
-            widths = ends - starts
-        env = cls.__new__(cls)
-        env._set(slopes, values - slopes * starts, ends, widths, breakpoints[0], apart)
-        return env
+    step: np.ndarray
+    ends: np.ndarray
+    slopes: np.ndarray
+    intercepts: np.ndarray
+    start: np.ndarray
+    start_value: np.ndarray
+    sign: int
 
     @property
-    def pieces(self) -> _Pieces:
-        return _Pieces(self)
+    def pieces(self) -> np.recarray:
+        """One record (step, end, slope, intercept) per piece."""
+        return np.rec.fromarrays((self.step, self.ends, self.slopes, self.intercepts),
+                                 names="step,end,slope,intercept")
+
+    def _first(self) -> np.ndarray:
+        """Index of every step's first piece."""
+        return np.searchsorted(self.step, np.arange(len(self.start)))
 
     def widths(self) -> np.ndarray:
         """Integer supply range spanned by each piece."""
-        return self._widths
+        begins = np.roll(self.ends, 1)
+        begins[self._first()] = self.start
+        return self.ends - begins
 
-
-class ConcavePL(_PiecewiseLinear):
-    """Concave piecewise-linear function: min over pieces, slopes decreasing."""
-
-    _slope_order = -1
-
-    def evaluate(self, y: float) -> float:
-        return float(np.min(self.slopes * y + self.intercepts))
-
-
-class ConvexPL(_PiecewiseLinear):
-    """Convex piecewise-linear function: max over pieces, slopes increasing."""
-
-    _slope_order = 1
-
-    def evaluate(self, y: float) -> float:
-        return float(np.max(self.slopes * y + self.intercepts))
+    def evaluate(self, y) -> np.ndarray:
+        """Every step's envelope at its supply y[t]."""
+        lines = self.slopes * np.asarray(y, dtype=float)[self.step] + self.intercepts
+        return (np.minimum if self.sign > 0 else np.maximum).reduceat(lines, self._first())
 
 
 def _run_starts(slopes: list[float]) -> list[int]:
@@ -146,33 +72,62 @@ def _run_starts(slopes: list[float]) -> list[int]:
     return starts
 
 
-def _breakpoints(breakpoints: int | Sequence[int]) -> np.ndarray:
-    """Breakpoints as an int array; an int y_max stands for 0, 1, ..., y_max."""
-    if isinstance(breakpoints, (int, np.integer)):
-        if breakpoints < 1:
-            raise ValueError("y_max must be >= 1")
-        return np.arange(breakpoints + 1)
-    b = np.asarray(breakpoints, dtype=np.int64)
-    if len(b) < 2 or b[0] < 0 or np.count_nonzero(b[1:] <= b[:-1]):
-        raise ValueError("need at least two increasing non-negative breakpoints")
-    return b
+def _grid(n_steps: int, lo, hi, stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every step's breakpoints lo_t, lo_t + stride, ..., hi_t, flat, and their steps."""
+    lo, hi = (np.broadcast_to(np.asarray(v, dtype=np.int64), n_steps) for v in (lo, hi))
+    if stride < 1 or np.any(lo < 0) or np.any(hi <= lo):
+        raise ValueError("need 0 <= lo < hi on every step and a stride >= 1")
+    count = -(-(hi - lo) // stride) + 1
+    step = np.repeat(np.arange(n_steps), count)
+    k = np.arange(len(step)) - np.repeat(np.cumsum(count) - count, count)
+    return np.minimum(lo[step] + k * stride, hi[step]), step
 
 
-def concavify_reward(p: RewardParams, breakpoints: int | Sequence[int]) -> ConcavePL:
-    """Concave chord envelope of the reward through the given breakpoints.
+def _chords(b: np.ndarray, step: np.ndarray, values: np.ndarray, sign: int) -> Envelopes:
+    """Chords through (b[j], values[j]) within each step, merging equal slopes."""
+    # step t's breakpoints are first[t]..last[t], its chords first[t]-t..last[t]-t-1
+    first = np.flatnonzero(np.diff(step, prepend=-1))
+    last = np.append(first[1:], len(b)) - 1
+    j = np.delete(np.arange(len(b) - 1), last[:-1])  # left ends of the chords
+    slopes = (values[j + 1] - values[j]) / (b[j + 1] - b[j])
+    chord_step = step[j]
+    # consecutive chords of a step with slopes out of order or within the tolerance
+    close = ((slopes[1:] - slopes[:-1]) * -sign < _SLOPE_MERGE_TOL) & (
+        chord_step[1:] == chord_step[:-1])
+    if close.any():
+        keep = np.ones(len(j), dtype=bool)
+        for t in np.unique(chord_step[1:][close]).tolist():
+            at = slice(first[t] - t, last[t] - t)
+            keep[at] = False
+            keep[at][_run_starts(slopes[at].tolist())] = True
+        j, slopes, chord_step = j[keep], slopes[keep], chord_step[keep]
+    starts = b[j]
+    step_ends = np.append(chord_step[1:] != chord_step[:-1], True)
+    ends = np.where(step_ends, b[last][chord_step], np.roll(starts, -1))
+    intercepts = values[j] - slopes * starts
+    head = np.flatnonzero(np.diff(chord_step, prepend=-1))
+    return Envelopes(step=chord_step, ends=ends, slopes=slopes, intercepts=intercepts,
+                     start=b[first], start_value=slopes[head] * b[first] + intercepts[head],
+                     sign=sign)
 
-    An int y_max gives the envelope that is exact at every integer in [0, y_max].
-    """
-    b = _breakpoints(breakpoints)
-    y = b.astype(float)
-    values = np.zeros_like(y) if p.d == 0 else p.d * (1.0 - np.exp(-p.a * y / p.d))
-    return ConcavePL._through(b, values)
+
+def concavify_reward(d, a: float, lo, hi, stride: int = 1) -> Envelopes:
+    """Concave chord envelopes of the reward d_t * (1 - exp(-a*y/d_t)), 0 when
+    d_t = 0, of every step t, through breakpoints lo_t, lo_t + stride, ..., hi_t."""
+    d = np.asarray(d, dtype=float)
+    if np.any(d < 0) or not a > 0:
+        raise ValueError("demand must be >= 0 and steepness > 0")
+    b, step = _grid(len(d), lo, hi, stride)
+    y, d = b.astype(float), d[step]
+    values = np.zeros_like(y)
+    on = d > 0
+    values[on] = d[on] * (1.0 - np.exp(-a * y[on] / d[on]))
+    return _chords(b, step, values, 1)
 
 
-def convexify_sq_dev(target: float, breakpoints: int | Sequence[int]) -> ConvexPL:
-    """Convex chord envelope of (y - target)^2 through the given breakpoints.
-
-    An int y_max gives the envelope that is exact at every integer in [0, y_max].
-    """
-    b = _breakpoints(breakpoints)
-    return ConvexPL._through(b, (b.astype(float) - target) ** 2)
+def convexify_sq_dev(target, lo, hi, stride: int = 1) -> Envelopes:
+    """Convex chord envelopes of (y - target_t)^2 of every step t, through
+    breakpoints lo_t, lo_t + stride, ..., hi_t."""
+    target = np.asarray(target, dtype=float)
+    b, step = _grid(len(target), lo, hi, stride)
+    return _chords(b, step, (b.astype(float) - target[step]) ** 2, -1)

@@ -23,7 +23,6 @@ from scipy import sparse
 
 from . import benchmark
 from .domain import (
-    RewardParams,
     Scenario,
     ShiftPlan,
     SupplyCurve,
@@ -33,7 +32,7 @@ from .domain import (
     window_matrix,
 )
 from .milp import MilpModel, SolveStatus, milp_solve
-from .piecewise import ConcavePL, ConvexPL, concavify_reward, convexify_sq_dev
+from .piecewise import Envelopes, concavify_reward, convexify_sq_dev
 
 __all__ = [
     "EconomicStandard",
@@ -82,22 +81,20 @@ class PlanResult:
     nodes: int  # LP rounds: 1 when y_max <= 64
 
 
-def _segment_model(
-    scenario: Scenario, envelopes: list[ConcavePL] | list[ConvexPL], sign: float
-) -> MilpModel:
-    """max sign * sum_t envelope_t(y_t) over plans, with columns x, y, z, u.
+def _segment_model(scenario: Scenario, env: Envelopes) -> MilpModel:
+    """max env.sign * sum_t envelope_t(y_t) over plans, with columns x, y, z, u.
 
     Step t's envelope spans its window [lo_t, hi_t]: y_t - sum of its
     segments = lo_t, with y_t bounded to the window.
     """
     T, N = scenario.T, scenario.N
-    widths = [env.widths() for env in envelopes]
-    lo = np.array([env.start for env in envelopes], dtype=float)
-    hi = np.minimum([env.ends[-1] for env in envelopes], min(scenario.c_veh, N))
-    step = np.repeat(np.arange(T), [len(w) for w in widths])
-    n_seg = len(step)
+    widths = env.widths()
+    n_seg = len(widths)
+    per_step = np.bincount(env.step, minlength=T)
+    lo = env.start.astype(float)
+    hi = np.minimum(env.ends[np.cumsum(per_step) - 1], min(scenario.c_veh, N))
     eye = sparse.identity(T, format="csr")
-    segments = sparse.csr_matrix((np.ones(n_seg), (step, np.arange(n_seg))), shape=(T, n_seg))
+    segments = sparse.csr_matrix((np.ones(n_seg), (env.step, np.arange(n_seg))), shape=(T, n_seg))
     A_eq = sparse.bmat(
         [
             [window_matrix(scenario, scenario.delta), -eye, None, None],
@@ -108,18 +105,17 @@ def _segment_model(
         format="csr",
     )
     b_eq = np.concatenate([np.zeros(2 * T), [scenario.total_shifts], lo])
-    offset = sum(env.start_value for env in envelopes)  # sum_t envelope_t(lo_t)
     steps = range(1, T + 1)
-    seg_names = [f"u_{t}_{k}" for t, w in zip(steps, widths) for k in range(1, len(w) + 1)]
+    seg_names = [f"u_{t}_{k}" for t, n in zip(steps, per_step.tolist()) for k in range(1, n + 1)]
     return MilpModel(
-        objective=np.concatenate([np.zeros(3 * T)] + [sign * env.slopes for env in envelopes]),
+        objective=np.concatenate([np.zeros(3 * T), env.sign * env.slopes]),
         lower=np.concatenate([np.zeros(T), lo, np.zeros(T + n_seg)]),
-        upper=np.concatenate([np.full(T, N), hi, np.full(T, N)] + widths),
+        upper=np.concatenate([np.full(T, N), hi, np.full(T, N), widths]),
         is_integer=np.arange(3 * T + n_seg) < T,
         names=[f"{v}_{t}" for v in "xyz" for t in steps] + seg_names,
         A_eq=A_eq,
         b_eq=b_eq,
-        constant=sign * offset,
+        constant=env.sign * sum(env.start_value.tolist()),  # sum_t envelope_t(lo_t)
     )
 
 
@@ -127,45 +123,33 @@ def _y_max(scenario: Scenario) -> int:
     return max(1, min(scenario.c_veh, scenario.N))
 
 
-# Step t's envelope over the given breakpoints
-_EnvelopeFn = Callable[[int, np.ndarray], "ConcavePL | ConvexPL"]
-
-
-def _reward_envelope(scenario: Scenario) -> _EnvelopeFn:
-    params = [RewardParams(d=float(d), a=scenario.a) for d in demand_vector(scenario)]
-    return lambda t, breakpoints: concavify_reward(params[t], breakpoints)
-
-
-def _deviation_envelope(scenario: Scenario, desired: np.ndarray) -> _EnvelopeFn:
+def _targets(scenario: Scenario, desired: np.ndarray) -> np.ndarray:
     desired = np.asarray(desired, dtype=float)
     if desired.shape != (scenario.T,):
         raise ValueError(f"desired supply must have length {scenario.T}")
     if np.any(desired < 0):
         raise ValueError("desired supply must be non-negative")
-    targets = desired.tolist()
-    return lambda t, breakpoints: convexify_sq_dev(targets[t], breakpoints)
-
-
-def _full_model(scenario: Scenario, envelope: _EnvelopeFn, sign: float) -> MilpModel:
-    y_max = _y_max(scenario)
-    return _segment_model(scenario, [envelope(t, y_max) for t in range(scenario.T)], sign)
+    return desired
 
 
 def build_reward_mip(scenario: Scenario) -> MilpModel:
     """Reward-maximizing program over the chord envelopes of the reward."""
-    return _full_model(scenario, _reward_envelope(scenario), 1.0)
+    env = concavify_reward(demand_vector(scenario), scenario.a, 0, _y_max(scenario))
+    return _segment_model(scenario, env)
 
 
 def build_deviation_mip(scenario: Scenario, desired: np.ndarray) -> MilpModel:
     """Baseline program: maximize minus the sum of squared deviations from `desired`."""
-    return _full_model(scenario, _deviation_envelope(scenario, desired), -1.0)
+    env = convexify_sq_dev(_targets(scenario, desired), 0, _y_max(scenario))
+    return _segment_model(scenario, env)
 
 
-def _solve(scenario: Scenario, envelope: _EnvelopeFn, sign: float) -> PlanResult:
+def _solve(scenario: Scenario, envelopes: Callable[..., Envelopes], *params) -> PlanResult:
     """Optimum of the full program, solved on windows refined from coarse to fine.
 
-    Round 1 spans every step's [0, y_max] with breakpoints `stride` apart;
-    with y_max <= _COARSE_PIECES that is the full program. Later rounds use
+    `envelopes(*params, lo, hi, stride)` builds every step's envelope. Round
+    1 spans every step's [0, y_max] with breakpoints `stride` apart; with
+    y_max <= _COARSE_PIECES that is the full program. Later rounds use
     every integer of a window around the last supply, and widen a window side
     (each time twice as far as before) while the supply sits on it. The last
     round has no supply on a window side other than 0 or y_max: its windowed
@@ -174,36 +158,32 @@ def _solve(scenario: Scenario, envelope: _EnvelopeFn, sign: float) -> PlanResult
     """
     T, y_max = scenario.T, _y_max(scenario)
     stride = -(-y_max // _COARSE_PIECES)
-    coarse = np.append(np.arange(0, y_max, stride), y_max)
-    envelopes = [envelope(t, coarse) for t in range(T)]
     lo, hi = np.zeros(T, dtype=np.int64), np.full(T, y_max)
+    env = envelopes(*params, lo, hi, stride)
     reach_lo, reach_hi = np.full(T, _REACH * stride), np.full(T, _REACH * stride)
     rounds = 0
     while True:
-        sol = milp_solve(_segment_model(scenario, envelopes, sign))
+        sol = milp_solve(_segment_model(scenario, env))
         rounds += 1
         if sol.status is SolveStatus.INFEASIBLE:
             raise PlanningError(sol.status, f"no plan: solver status {sol.status.value}")
         y = sol.values[T : 2 * T].astype(np.int64)
         if rounds == 1 and stride > 1:
-            changed = np.ones(T, dtype=bool)
             lo, hi = np.maximum(y - reach_lo, 0), np.minimum(y + reach_hi, y_max)
         else:
             low, high = (y == lo) & (lo > 0), (y == hi) & (hi < y_max)
-            changed = low | high
-            if not changed.any():
+            if not (low.any() or high.any()):
                 break
             reach_lo[low] *= 2
             reach_hi[high] *= 2
             lo[low] = np.maximum(lo[low] - reach_lo[low], 0)
             hi[high] = np.minimum(hi[high] + reach_hi[high], y_max)
-        for t in np.flatnonzero(changed):
-            envelopes[t] = envelope(t, np.arange(lo[t], hi[t] + 1))
+        env = envelopes(*params, lo, hi)
     plan_vec = ShiftPlan(x=sol.values[:T].astype(np.int64))
     return PlanResult(
         plan=plan_vec,
         supply=supply_curve(plan_vec, scenario),
-        mip_objective=sum(env.evaluate(float(yt)) for env, yt in zip(envelopes, y)),
+        mip_objective=sum(env.evaluate(y).tolist()),
         true_reward=total_reward(plan_vec, scenario),
         solve_status=sol.status,
         nodes=rounds,
@@ -212,7 +192,7 @@ def _solve(scenario: Scenario, envelope: _EnvelopeFn, sign: float) -> PlanResult
 
 def plan(scenario: Scenario) -> PlanResult:
     """Solve the reward-maximizing program and extract the plan."""
-    return _solve(scenario, _reward_envelope(scenario), 1.0)
+    return _solve(scenario, concavify_reward, demand_vector(scenario), scenario.a)
 
 
 def plan_baseline(
@@ -225,4 +205,4 @@ def plan_baseline(
         desired = benchmark.economic_standard_supply(scenario, standard.cost)
     else:
         raise TypeError(f"unknown standard {standard!r}")
-    return _solve(scenario, _deviation_envelope(scenario, desired), -1.0)
+    return _solve(scenario, convexify_sq_dev, _targets(scenario, desired))

@@ -1,6 +1,7 @@
 """Independent oracles used by the tests: brute-force plan enumeration,
-random feasible-plan sampling, a minimal CPLEX-LP-format reader, and the
-quadratic scan that defines greedy rostering."""
+random feasible-plan sampling, a minimal CPLEX-LP-format reader, the
+quadratic scan that defines greedy rostering, and chord envelopes built one
+step at a time."""
 
 from __future__ import annotations
 
@@ -73,6 +74,39 @@ def greedy_assign_by_scan(plan: ShiftPlan, scenario: Scenario) -> Roster:
             avail[i] = t + length
             counts[i] += 1
     return Roster(assignments=tuple(tuple(a) for a in assignments))
+
+
+def step_chords(breakpoints, values: np.ndarray, sign: int):
+    """One step's chords through (breakpoints[k], values[k]) as
+    (slopes, intercepts, ends, start_value). A chord joins the current piece
+    while its slope is within 1e-12 of the piece's first chord; merging runs
+    only when two consecutive slopes are not ordered (decreasing for sign 1,
+    increasing for sign -1) and that far apart."""
+    b = np.asarray(breakpoints, dtype=np.int64)
+    slopes = (values[1:] - values[:-1]) / (b[1:] - b[:-1])
+    starts, ends, values = b[:-1], b[1:], values[:-1]
+    if np.count_nonzero((slopes[1:] - slopes[:-1]) * -sign < 1e-12):
+        listed = slopes.tolist()
+        first = [0]
+        for i, slope in enumerate(listed):
+            if abs(slope - listed[first[-1]]) >= 1e-12:
+                first.append(i)
+        slopes, starts, values = slopes[first], starts[first], values[first]
+        ends = np.append(starts[1:], b[-1])
+    intercepts = values - slopes * starts
+    return slopes, intercepts, ends, slopes[0] * b[0] + intercepts[0]
+
+
+def reward_chords(d: float, a: float, breakpoints):
+    """step_chords of the reward d * (1 - exp(-a*y/d)), 0 when d = 0."""
+    y = np.asarray(breakpoints, dtype=float)
+    values = np.zeros_like(y) if d == 0 else d * (1.0 - np.exp(-a * y / d))
+    return step_chords(breakpoints, values, 1)
+
+
+def sq_dev_chords(target: float, breakpoints):
+    """step_chords of the squared deviation (y - target)^2."""
+    return step_chords(breakpoints, (np.asarray(breakpoints, dtype=float) - target) ** 2, -1)
 
 
 _TERM = re.compile(r"([+-]?)\s*(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)?\s*([A-Za-z_][\w]*)")

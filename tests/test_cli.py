@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shiftopt import Boundary, DemandModel
 from shiftopt.cli import (
     EXIT_BAD_CONFIG,
     EXIT_INFEASIBLE,
@@ -207,6 +208,10 @@ def _compare_config(**kw):
     return config
 
 
+def _roster_config(plan):
+    return {"kind": "roster", "scenario": base_scenario(T=6), "plan": plan}
+
+
 class TestConfigErrors:
     """Configs that used to end in a traceback with exit 1."""
 
@@ -226,9 +231,20 @@ class TestConfigErrors:
             ("compare", _compare_config(service_fraction=1.5)),
             ("compare", _compare_config(economic_cost="1")),
             ("compare", _compare_config(d_max_per_driver="a")),
+            ("plan", {"kind": "plan", "scenario": base_scenario(T=math.inf)}),
+            ("plan", {"kind": "plan", "scenario": base_scenario(N=2.9)}),
+            ("plan", {"kind": "plan", "scenario": base_scenario(T="12")}),
+            ("roster", _roster_config([1.5] + [0] * 5)),
+            ("roster", _roster_config([-1] + [0] * 5)),
+            ("roster", _roster_config("abc")),
+            ("roster", _roster_config([[1]])),
+            ("roster", _roster_config(None)),
+            ("roster", _roster_config([10**30] + [0] * 5)),
         ],
         ids=["delta-above-T", "text-value", "scalar-values", "zero-work",
-             "text-driver-count", "fraction-above-1", "text-cost", "text-per-driver"],
+             "text-driver-count", "fraction-above-1", "text-cost", "text-per-driver",
+             "infinite-T", "fractional-N", "text-T", "fractional-plan", "negative-plan",
+             "text-plan", "nested-plan", "null-plan", "huge-plan"],
     )
     def test_exit_2_with_one_line(self, tmp_path, capsys, command, config):
         code, out = run(tmp_path, command, config)
@@ -251,26 +267,38 @@ _FIELDS = {
     "scale_c_veh": _JUNK,
     "robustness_fractions": _JUNK_OR_LIST,
     "robustness_costs": _JUNK_OR_LIST,
+    "plan": st.one_of(_JUNK_OR_LIST, st.lists(st.integers(0, 3), min_size=12, max_size=12)),
 }
+_SCENARIO_FIELDS = {
+    **{key: _JUNK for key in ("T", "N", "s", "delta", "beta", "d_max", "a", "c_veh")},
+    "demand": _JUNK_OR_LIST,
+    "demand_model": st.one_of(_JUNK, st.sampled_from([m.value for m in DemandModel])),
+    "boundary": st.one_of(_JUNK, st.sampled_from([b.value for b in Boundary])),
+}
+_KIND_AND_COMMAND = [
+    ("sweep_drivers", "sweep"), ("sweep_shifts_per_driver", "sweep"),
+    ("sweep_shift_length", "sweep"), ("compare_baselines", "compare"), ("roster", "roster"),
+    ("plan", "plan"), ("plan", "export-lp"),
+]
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
-    kind=st.sampled_from(
-        ["sweep_drivers", "sweep_shifts_per_driver", "sweep_shift_length", "compare_baselines"]
-    ),
+    kind_and_command=st.sampled_from(_KIND_AND_COMMAND),
     fields=st.fixed_dictionaries({}, optional=_FIELDS),
+    scenario=st.fixed_dictionaries({}, optional=_SCENARIO_FIELDS),
     N=st.integers(0, 4), s=st.integers(1, 2), delta=st.integers(1, 4),
     c_veh=st.integers(0, 5),
 )
-def test_config_fuzz_never_exit_1(kind, fields, N, s, delta, c_veh):
-    """Sweep and compare configs either run or fail with a documented exit code."""
-    config = {"kind": kind, "scenario": base_scenario(N=N, s=s, delta=delta, c_veh=c_veh),
+def test_config_fuzz_never_exit_1(kind_and_command, fields, scenario, N, s, delta, c_veh):
+    """Every command's config either runs or fails with a documented exit code."""
+    kind, command = kind_and_command
+    config = {"kind": kind,
+              "scenario": {**base_scenario(N=N, s=s, delta=delta, c_veh=c_veh), **scenario},
               **fields}
-    command = "compare" if kind == "compare_baselines" else "sweep"
     with tempfile.TemporaryDirectory() as tmp:
         code, _ = run(Path(tmp), command, config)
-    assert code in (EXIT_OK, EXIT_BAD_CONFIG, EXIT_INFEASIBLE, EXIT_IO)
+    assert code in (EXIT_OK, EXIT_BAD_CONFIG, EXIT_INFEASIBLE, EXIT_IO, EXIT_VERIFICATION)
 
 
 class TestRosterCommand:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -53,9 +54,22 @@ class TestScenario:
         )
         assert Scenario.from_json(sc.to_json()) == sc
 
-    def test_json_keys_are_snake_case(self):
-        import json
+    @pytest.mark.parametrize("field, value", [
+        ("T", math.inf), ("T", 1e999), ("N", 2.9), ("T", "6"), ("s", True), ("delta", None),
+        ("beta", math.nan), ("c_veh", [4]), ("d_max", "5"), ("a", False), ("demand", ["1"] * 8),
+    ])
+    def test_from_dict_rejects_bad_fields(self, field, value):
+        obj = {**json.loads(scenario().to_json()), field: value}
+        if field == "demand":
+            obj["demand_model"] = "explicit"
+        with pytest.raises(ValueError, match=field):
+            Scenario.from_dict(obj)
 
+    def test_from_dict_accepts_whole_floats(self):
+        obj = {**json.loads(scenario().to_json()), "T": 8.0, "N": 2.0}
+        assert Scenario.from_dict(obj) == scenario()
+
+    def test_json_keys_are_snake_case(self):
         keys = set(json.loads(scenario().to_json()))
         assert keys == {
             "T", "N", "s", "delta", "beta", "d_max", "a", "c_veh",

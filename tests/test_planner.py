@@ -19,7 +19,7 @@ from shiftopt import (
     supply_curve,
     total_reward,
 )
-from shiftopt import benchmark, milp
+from shiftopt import benchmark, milp, planner
 from shiftopt.planner import EconomicStandard, ServiceStandard
 
 from oracles import best_plan_by_enumeration
@@ -136,6 +136,25 @@ class TestPlan:
             assert np.all((lo == 0) | (y > lo))
             assert np.all((hi == 100) | (y < hi))
             assert np.any((lo > 0) | (hi < 100))
+
+    def test_envelopes_built_through_planner_attributes(self, monkeypatch):
+        """A wrapper installed on `shiftopt.planner` sees one call per LP round,
+        and the pieces it counts are the segment columns of that round."""
+        pieces, columns = [], []
+        real_linprog = milp.linprog
+        monkeypatch.setattr(milp, "linprog", lambda c, *a, **kw: (
+            columns.append(len(c) - 3 * sc.T) or real_linprog(c, *a, **kw)))
+        for name in ("concavify_reward", "convexify_sq_dev"):
+            def counted(*args, real=getattr(planner, name)):
+                env = real(*args)
+                pieces.append(len(env.pieces))
+                return env
+            monkeypatch.setattr(planner, name, counted)
+        sc = Scenario(T=48, N=120, s=2, delta=6, beta=4, d_max=120.0, a=2.0, c_veh=100)
+        rounds = plan(sc).nodes + plan_baseline(sc, ServiceStandard(0.8)).nodes
+        assert rounds >= 4
+        assert len(pieces) == rounds
+        assert pieces == columns
 
     def test_largest_round_is_a_quarter_of_the_full_model(
         self, monkeypatch, large_fleet_scenario
