@@ -14,7 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import RewardParams, Scenario, ShiftPlan, demand_vector, reward, total_reward
+from .domain import (
+    RewardParams,
+    Scenario,
+    ShiftPlan,
+    demand_vector,
+    reward,
+    reward_vector,
+    total_reward,
+)
 
 __all__ = [
     "AgnosticOptimum",
@@ -42,9 +50,7 @@ class GapReport:
 
 
 def _total_reward_of_supply(y: np.ndarray, d: np.ndarray, a: float) -> float:
-    return sum(
-        reward(float(yi), RewardParams(d=float(di), a=a)) for yi, di in zip(y, d)
-    )
+    return sum(reward_vector(y, d, a).tolist())
 
 
 def agnostic_optimum_closed_form(scenario: Scenario) -> AgnosticOptimum:

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 __all__ = [
     "Boundary",
@@ -24,9 +23,10 @@ __all__ = [
     "demand_at",
     "demand_vector",
     "reward",
+    "reward_vector",
     "supply_curve",
     "total_reward",
-    "window_matrix",
+    "window_indices",
 ]
 
 
@@ -220,19 +220,20 @@ def demand_at(scenario: Scenario, t: int) -> float:
     """Demanded rides at time step t (1-based)."""
     if not 1 <= t <= scenario.T:
         raise IndexError(f"t={t} outside 1..{scenario.T}")
-    if scenario.demand_model is DemandModel.ENVELOPE_SINUSOID:
-        daily = 1.0 - math.cos(math.pi * t / 12.0)
-        # sin(pi*t/T) rounds to about -3e-16 at t = T for some T
-        envelope = max(0.0, math.sin(math.pi * t / scenario.T))
-        return scenario.d_max / 2.0 * daily * envelope
-    if scenario.demand_model is DemandModel.OFFSET_SINUSOID:
-        return scenario.d_max * (1.0 + math.sin(math.pi * t / 12.0))
-    return scenario.demand[t - 1]
+    return float(demand_vector(scenario)[t - 1])
 
 
 def demand_vector(scenario: Scenario) -> np.ndarray:
     """Demand at every time step, as an array of length T."""
-    return np.array([demand_at(scenario, t) for t in range(1, scenario.T + 1)])
+    if scenario.demand_model is DemandModel.EXPLICIT:
+        return np.array(scenario.demand)
+    t = np.arange(1, scenario.T + 1)
+    if scenario.demand_model is DemandModel.ENVELOPE_SINUSOID:
+        daily = 1.0 - np.cos(np.pi * t / 12.0)
+        # sin(pi*t/T) rounds to about -3e-16 at t = T for some T
+        envelope = np.maximum(0.0, np.sin(np.pi * t / scenario.T))
+        return scenario.d_max / 2.0 * daily * envelope
+    return scenario.d_max * (1.0 + np.sin(np.pi * t / 12.0))
 
 
 def reward(y: float, p: RewardParams) -> float:
@@ -254,16 +255,27 @@ def _window_sum(x: np.ndarray, width: int, boundary: Boundary) -> np.ndarray:
     return np.convolve(padded, np.ones(width, dtype=x.dtype), mode="valid")
 
 
-def window_matrix(scenario: Scenario, width: int) -> sparse.csr_matrix:
-    """T x T matrix W with W @ x = _window_sum(x, width, scenario.boundary)."""
+def reward_vector(y, d, a: float) -> np.ndarray:
+    """reward() at every step: d_t * (1 - exp(-a*y_t/d_t)), 0 where d_t = 0."""
+    y, d = np.asarray(y, dtype=float), np.asarray(d, dtype=float)
+    out = np.zeros_like(y)
+    on = d > 0
+    # a*y/d overflows to inf for a subnormal d_t, and the reward is then d_t
+    with np.errstate(over="ignore"):
+        out[on] = d[on] * (1.0 - np.exp(-a * y[on] / d[on]))
+    return out
+
+
+def window_indices(scenario: Scenario, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row t and column tau of every unit entry of the T x T matrix W with
+    W @ x = _window_sum(x, width, scenario.boundary). A circular window wider
+    than T holds a start twice: its (t, tau) pair repeats, and entries add up."""
     T = scenario.T
     t = np.repeat(np.arange(T), width)
     tau = t - np.tile(np.arange(width), T)
     if scenario.boundary is Boundary.CIRCULAR:
-        tau %= T  # a window wider than T holds a start twice: entries add up
-    else:
-        t, tau = t[tau >= 0], tau[tau >= 0]
-    return sparse.csr_matrix((np.ones(len(t)), (t, tau)), shape=(T, T))
+        return t, tau % T
+    return t[tau >= 0], tau[tau >= 0]
 
 
 def supply_curve(plan: ShiftPlan, scenario: Scenario) -> SupplyCurve:
@@ -277,9 +289,5 @@ def supply_curve(plan: ShiftPlan, scenario: Scenario) -> SupplyCurve:
 
 def total_reward(plan: ShiftPlan, scenario: Scenario) -> float:
     """Total rides served over the horizon, with the exact exponential reward."""
-    curve = supply_curve(plan, scenario)
-    d = demand_vector(scenario)
-    return sum(
-        reward(float(curve.y[i]), RewardParams(d=float(d[i]), a=scenario.a))
-        for i in range(scenario.T)
-    )
+    y = supply_curve(plan, scenario).y
+    return sum(reward_vector(y, demand_vector(scenario), scenario.a).tolist())

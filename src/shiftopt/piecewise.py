@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import reward_vector
+
 __all__ = ["Envelopes", "concavify_reward", "convexify_sq_dev"]
 
 # chords whose slopes differ by less than this are merged into one piece
@@ -84,7 +86,8 @@ def _grid(n_steps: int, lo, hi, stride: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _chords(b: np.ndarray, step: np.ndarray, values: np.ndarray, sign: int) -> Envelopes:
-    """Chords through (b[j], values[j]) within each step, merging equal slopes."""
+    """Chords through (b[j], values[j]) within each step, merging equal slopes
+    into one chord through the ends of their run."""
     # step t's breakpoints are first[t]..last[t], its chords first[t]-t..last[t]-t-1
     first = np.flatnonzero(np.diff(step, prepend=-1))
     last = np.append(first[1:], len(b)) - 1
@@ -100,10 +103,13 @@ def _chords(b: np.ndarray, step: np.ndarray, values: np.ndarray, sign: int) -> E
             at = slice(first[t] - t, last[t] - t)
             keep[at] = False
             keep[at][_run_starts(slopes[at].tolist())] = True
-        j, slopes, chord_step = j[keep], slopes[keep], chord_step[keep]
-    starts = b[j]
-    step_ends = np.append(chord_step[1:] != chord_step[:-1], True)
-    ends = np.where(step_ends, b[last][chord_step], np.roll(starts, -1))
+        j, chord_step = j[keep], chord_step[keep]
+    # a piece runs from breakpoint j to the next piece's, or to its step's last;
+    # a merged run's slope is that of the chord through the run's ends
+    e = np.where(np.append(chord_step[1:] != chord_step[:-1], True),
+                 last[chord_step], np.roll(j, -1))
+    starts, ends = b[j], b[e]
+    slopes = (values[e] - values[j]) / (ends - starts)
     intercepts = values[j] - slopes * starts
     head = np.flatnonzero(np.diff(chord_step, prepend=-1))
     return Envelopes(step=chord_step, ends=ends, slopes=slopes, intercepts=intercepts,
@@ -118,11 +124,7 @@ def concavify_reward(d, a: float, lo, hi, stride: int = 1) -> Envelopes:
     if np.any(d < 0) or not a > 0:
         raise ValueError("demand must be >= 0 and steepness > 0")
     b, step = _grid(len(d), lo, hi, stride)
-    y, d = b.astype(float), d[step]
-    values = np.zeros_like(y)
-    on = d > 0
-    values[on] = d[on] * (1.0 - np.exp(-a * y[on] / d[on]))
-    return _chords(b, step, values, 1)
+    return _chords(b, step, reward_vector(b, d[step], a), 1)
 
 
 def convexify_sq_dev(target, lo, hi, stride: int = 1) -> Envelopes:

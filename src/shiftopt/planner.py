@@ -29,7 +29,7 @@ from .domain import (
     demand_vector,
     supply_curve,
     total_reward,
-    window_matrix,
+    window_indices,
 )
 from .milp import MilpModel, SolveStatus, milp_solve
 from .piecewise import Envelopes, concavify_reward, convexify_sq_dev
@@ -93,17 +93,18 @@ def _segment_model(scenario: Scenario, env: Envelopes) -> MilpModel:
     per_step = np.bincount(env.step, minlength=T)
     lo = env.start.astype(float)
     hi = np.minimum(env.ends[np.cumsum(per_step) - 1], min(scenario.c_veh, N))
-    eye = sparse.identity(T, format="csr")
-    segments = sparse.csr_matrix((np.ones(n_seg), (env.step, np.arange(n_seg))), shape=(T, n_seg))
-    A_eq = sparse.bmat(
-        [
-            [window_matrix(scenario, scenario.delta), -eye, None, None],
-            [window_matrix(scenario, scenario.delta + scenario.beta), None, -eye, None],
-            [np.ones((1, T)), None, None, None],
-            [None, eye, None, -segments],
-        ],
-        format="csr",
-    )
+    # rows: y_t and z_t as window sums of x, the sum of x, y_t minus its segments;
+    # columns: x, y, z, u
+    t = np.arange(T)
+    y_rows, y_cols = window_indices(scenario, scenario.delta)
+    z_rows, z_cols = window_indices(scenario, scenario.delta + scenario.beta)
+    rows = np.concatenate([y_rows, t, T + z_rows, T + t, np.full(T, 2 * T),
+                           2 * T + 1 + t, 2 * T + 1 + env.step])
+    cols = np.concatenate([y_cols, T + t, z_cols, 2 * T + t, t,
+                           T + t, 3 * T + np.arange(n_seg)])
+    data = np.repeat([1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0],
+                     [len(y_rows), T, len(z_rows), T, T, T, n_seg])
+    A_eq = sparse.csc_matrix((data, (rows, cols)), shape=(3 * T + 1, 3 * T + n_seg))
     b_eq = np.concatenate([np.zeros(2 * T), [scenario.total_shifts], lo])
     steps = range(1, T + 1)
     seg_names = [f"u_{t}_{k}" for t, n in zip(steps, per_step.tolist()) for k in range(1, n + 1)]

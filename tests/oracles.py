@@ -1,16 +1,29 @@
 """Independent oracles used by the tests: brute-force plan enumeration,
 random feasible-plan sampling, a minimal CPLEX-LP-format reader, the
-quadratic scan that defines greedy rostering, and chord envelopes built one
-step at a time."""
+quadratic scan that defines greedy rostering, chord envelopes built one
+step at a time, the segment model's matrix built block by block, and demand
+and reward computed one step at a time."""
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 
 import numpy as np
+from scipy import sparse
 
-from shiftopt.domain import Scenario, ShiftPlan, supply_curve, total_reward
+from shiftopt.domain import (
+    DemandModel,
+    RewardParams,
+    Scenario,
+    ShiftPlan,
+    _window_sum,
+    reward,
+    supply_curve,
+    total_reward,
+)
+from shiftopt.piecewise import Envelopes
 from shiftopt.roster import ExtendedShift, Roster
 
 
@@ -79,22 +92,73 @@ def greedy_assign_by_scan(plan: ShiftPlan, scenario: Scenario) -> Roster:
 def step_chords(breakpoints, values: np.ndarray, sign: int):
     """One step's chords through (breakpoints[k], values[k]) as
     (slopes, intercepts, ends, start_value). A chord joins the current piece
-    while its slope is within 1e-12 of the piece's first chord; merging runs
+    while its slope is within 1e-12 of the piece's first chord, and the piece
+    is then the chord through its first and last breakpoint; merging runs
     only when two consecutive slopes are not ordered (decreasing for sign 1,
     increasing for sign -1) and that far apart."""
     b = np.asarray(breakpoints, dtype=np.int64)
     slopes = (values[1:] - values[:-1]) / (b[1:] - b[:-1])
-    starts, ends, values = b[:-1], b[1:], values[:-1]
+    first, last = list(range(len(b) - 1)), list(range(1, len(b)))
     if np.count_nonzero((slopes[1:] - slopes[:-1]) * -sign < 1e-12):
         listed = slopes.tolist()
         first = [0]
         for i, slope in enumerate(listed):
             if abs(slope - listed[first[-1]]) >= 1e-12:
                 first.append(i)
-        slopes, starts, values = slopes[first], starts[first], values[first]
-        ends = np.append(starts[1:], b[-1])
-    intercepts = values - slopes * starts
-    return slopes, intercepts, ends, slopes[0] * b[0] + intercepts[0]
+        last = first[1:] + [len(b) - 1]
+        slopes = (values[last] - values[first]) / (b[last] - b[first])
+    intercepts = values[first] - slopes * b[first]
+    return slopes, intercepts, b[last], slopes[0] * b[0] + intercepts[0]
+
+
+def segment_matrix_by_blocks(scenario: Scenario, env: Envelopes) -> sparse.csc_matrix:
+    """The segment model's equality rows, stacked from blocks: the window
+    matrices of delta and delta + beta (column tau the window sums of a
+    single start at tau), the all-ones row, identities and the segment
+    incidence, over columns x, y, z, u."""
+    T, n_seg = scenario.T, len(env.step)
+
+    def window(width):
+        starts = np.eye(T, dtype=np.int64)
+        return np.column_stack([_window_sum(e, width, scenario.boundary) for e in starts])
+
+    eye = sparse.identity(T, format="csr")
+    segments = sparse.csr_matrix((np.ones(n_seg), (env.step, np.arange(n_seg))), shape=(T, n_seg))
+    return sparse.bmat(
+        [
+            [window(scenario.delta), -eye, None, None],
+            [window(scenario.delta + scenario.beta), None, -eye, None],
+            [np.ones((1, T)), None, None, None],
+            [None, eye, None, -segments],
+        ],
+        format="csr",
+    ).tocsc()
+
+
+def demand_by_loop(scenario: Scenario) -> np.ndarray:
+    """Demand at every step, one step at a time with the math module."""
+    out = []
+    for t in range(1, scenario.T + 1):
+        if scenario.demand_model is DemandModel.ENVELOPE_SINUSOID:
+            daily = 1.0 - math.cos(math.pi * t / 12.0)
+            envelope = max(0.0, math.sin(math.pi * t / scenario.T))
+            out.append(scenario.d_max / 2.0 * daily * envelope)
+        elif scenario.demand_model is DemandModel.OFFSET_SINUSOID:
+            out.append(scenario.d_max * (1.0 + math.sin(math.pi * t / 12.0)))
+        else:
+            out.append(scenario.demand[t - 1])
+    return np.array(out)
+
+
+def reward_of_supply_by_loop(y, d, a: float) -> float:
+    """Sum over steps of reward(y_t) at demand d_t, one step at a time."""
+    return sum(reward(float(yi), RewardParams(d=float(di), a=a)) for yi, di in zip(y, d))
+
+
+def total_reward_by_loop(plan: ShiftPlan, scenario: Scenario) -> float:
+    """total_reward of a plan, one step at a time."""
+    y = supply_curve(plan, scenario).y
+    return reward_of_supply_by_loop(y, demand_by_loop(scenario), scenario.a)
 
 
 def reward_chords(d: float, a: float, breakpoints):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from shiftopt import (
     Boundary,
@@ -18,7 +19,9 @@ from shiftopt import (
     water_fill,
 )
 
-from oracles import sample_feasible_plan
+from shiftopt.benchmark import _total_reward_of_supply
+
+from oracles import reward_of_supply_by_loop, sample_feasible_plan
 
 
 def explicit_scenario(demand, *, N=1, s=1, delta=1, a=1.0, **kw):
@@ -35,6 +38,15 @@ def explicit_scenario(demand, *, N=1, s=1, delta=1, a=1.0, **kw):
         demand=tuple(float(d) for d in demand),
         **kw,
     )
+
+
+@given(st.lists(st.tuples(st.floats(0, 500), st.floats(0, 100)), min_size=1, max_size=30),
+       st.floats(0.01, 10))
+def test_reward_of_supply_matches_loop(pairs, a):
+    y, d = (np.array(v) for v in zip(*pairs))
+    # each step's np.exp and math.exp may differ in the last bit: d_t * ulp(1) after 1 - exp
+    assert _total_reward_of_supply(y, d, a) == pytest.approx(
+        reward_of_supply_by_loop(y, d, a), rel=1e-13, abs=4 * np.finfo(float).eps * d.sum())
 
 
 class TestClosedForm:

@@ -1,9 +1,11 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import sparse
 
 from shiftopt import (
     Boundary,
@@ -17,7 +19,11 @@ from shiftopt import (
     supply_curve,
     total_reward,
 )
-from shiftopt.domain import window_matrix
+from shiftopt.domain import reward_vector, window_indices
+
+from oracles import demand_by_loop, total_reward_by_loop
+
+_EPS = np.finfo(float).eps
 
 
 def scenario(**kw):
@@ -107,6 +113,14 @@ class TestDemand:
         assert list(demand_vector(sc)) == list(range(8))
 
     @pytest.mark.parametrize("model", [DemandModel.ENVELOPE_SINUSOID, DemandModel.OFFSET_SINUSOID])
+    def test_vector_matches_loop_bit_for_bit(self, model):
+        for T in [*range(1, 169), 400]:
+            sc = scenario(T=T, d_max=7.3, demand_model=model, delta=1)
+            assert demand_vector(sc).tobytes() == demand_by_loop(sc).tobytes(), T
+        sc = scenario(demand_model=DemandModel.EXPLICIT, demand=(0.1, 2.5, 0.0, 3, 4, 5, 6, 7))
+        assert demand_vector(sc).tobytes() == demand_by_loop(sc).tobytes()
+
+    @pytest.mark.parametrize("model", [DemandModel.ENVELOPE_SINUSOID, DemandModel.OFFSET_SINUSOID])
     def test_nonnegative_everywhere(self, model):
         # sin(pi*t/T) rounds below zero at t = T for T = 13, 26, 47, ...
         for T in range(1, 401):
@@ -149,6 +163,21 @@ class TestReward:
     @given(y=st.floats(0, 1000), d=st.floats(1e-6, 100), a=st.floats(0.01, 10))
     def test_bounded_by_demand(self, y, d, a):
         assert reward(y, RewardParams(d=d, a=a)) <= d
+
+    @given(st.lists(st.tuples(st.floats(0, 1000), st.floats(0, 100)), min_size=1, max_size=9),
+           st.floats(0.01, 10))
+    def test_vector_matches_scalar(self, pairs, a):
+        y, d = (np.array(v) for v in zip(*pairs))
+        exact = np.array([reward(yi, RewardParams(d=di, a=a)) for yi, di in pairs])
+        # np.exp and math.exp may differ in the last bit: d * ulp(1) after 1 - exp
+        assert np.all(np.abs(reward_vector(y, d, a) - exact) <= 4 * _EPS * d)
+
+    def test_vector_subnormal_demand_is_served_without_warning(self):
+        # a*y/d overflows to inf; the reward is then all of the demand
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = reward_vector(np.array([0.0, 5.0]), np.array([1e-310, 1e-310]), 2.0)
+        assert got.tolist() == [0.0, 1e-310]
 
     def test_nondecreasing_in_demand_grid(self):
         for a in (0.5, 1.0, 2.0):
@@ -193,8 +222,10 @@ class TestSupplyCurve:
             assert np.all(curve.y >= 0)
             assert np.all(curve.z >= x)
             # the planner's window rows sum the same starts, wide windows included
-            assert np.array_equal(window_matrix(sc, delta) @ x, curve.y)
-            assert np.array_equal(window_matrix(sc, delta + beta) @ x, curve.z)
+            for width, want in ((delta, curve.y), (delta + beta, curve.z)):
+                rows, cols = window_indices(sc, width)
+                W = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(T, T))
+                assert np.array_equal(W @ x, want)
             if boundary is Boundary.CIRCULAR:
                 assert curve.y.sum() == delta * x.sum()
             else:
@@ -202,6 +233,22 @@ class TestSupplyCurve:
 
 
 class TestTotalReward:
+    @given(st.data())
+    def test_matches_loop(self, data):
+        T = data.draw(st.integers(1, 30))
+        model = data.draw(st.sampled_from(DemandModel))
+        sc = Scenario(
+            T=T, N=4, s=1, delta=data.draw(st.integers(1, T)), beta=1,
+            d_max=data.draw(st.floats(0, 100)), a=data.draw(st.floats(0.01, 10)), c_veh=9,
+            demand_model=model, boundary=data.draw(st.sampled_from(Boundary)),
+            demand=(tuple(data.draw(st.lists(st.floats(0, 100), min_size=T, max_size=T)))
+                    if model is DemandModel.EXPLICIT else None),
+        )
+        plan = ShiftPlan(x=np.array(data.draw(st.lists(st.integers(0, 4), min_size=T, max_size=T))))
+        # each step's np.exp and math.exp may differ in the last bit: d_t * ulp(1) after 1 - exp
+        assert total_reward(plan, sc) == pytest.approx(
+            total_reward_by_loop(plan, sc), rel=1e-13, abs=4 * _EPS * demand_vector(sc).sum())
+
     def test_all_zero_plan(self):
         sc = scenario()
         assert total_reward(ShiftPlan(x=np.zeros(8, dtype=int)), sc) == 0.0

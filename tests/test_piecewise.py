@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from shiftopt import Envelopes, RewardParams, concavify_reward, convexify_sq_dev, reward
+from shiftopt.domain import reward_vector
 
 from oracles import reward_chords, sq_dev_chords
 
@@ -41,6 +43,14 @@ class TestConcavifyReward:
     def test_y_max_too_small(self):
         with pytest.raises(ValueError):
             concavify_reward([1.0], 1.0, 0, 0)
+
+    def test_subnormal_demand_without_warning(self):
+        # a*y/d overflows to inf: every y >= 1 serves all of the demand
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            env = concavify_reward([1e-310], 2.0, 0, 5)
+        assert env.evaluate([0]).tolist() == [0.0]
+        assert env.evaluate([5])[0] == pytest.approx(1e-310, rel=1e-9)
 
     @given(ds=st.lists(st.floats(0.01, 50), min_size=1, max_size=4), a=st.floats(0.1, 5),
            y_max=st.integers(1, 20))
@@ -142,11 +152,47 @@ class TestWindowedEnvelopes:
                 convexify_sq_dev([1.0, 1.0], lo, hi, stride)
 
 
+_DEMAND = st.one_of(st.just(0.0), st.floats(1e-3, 0.5), st.floats(0.5, 50))
+
+
+class TestBoundsAtEveryInteger:
+    """An envelope under-estimates the reward (over-estimates the squared
+    deviation) at every integer of its window, up to the rounding of the
+    line that attains it."""
+
+    @staticmethod
+    def _check(env: Envelopes, exact, lo, hi):
+        eps = np.finfo(float).eps
+        for t, (l, h) in enumerate(zip(lo, hi)):
+            mine = env.step == t
+            y = np.arange(l, h + 1)
+            lines = env.slopes[mine] * y[:, None] + env.intercepts[mine]
+            k = (np.argmin if env.sign > 0 else np.argmax)(lines, axis=1)
+            value = lines[np.arange(len(y)), k]
+            f = exact(t, y.astype(float))
+            tol = 4 * eps * (np.abs(env.slopes[mine][k] * y) + np.abs(env.intercepts[mine][k])
+                             + np.abs(f))
+            assert np.all(env.sign * (value - f) <= tol), (t, np.max(env.sign * (value - f)))
+
+    @given(a=st.floats(0.1, 5), windows=_WINDOWS, stride=st.integers(1, 7), data=st.data())
+    def test_reward(self, a, windows, stride, data):
+        _, bounds = windows
+        lo, hi = zip(*bounds)
+        d = data.draw(st.lists(_DEMAND, min_size=len(lo), max_size=len(lo)))
+        env = concavify_reward(d, a, lo, hi, stride)
+        self._check(env, lambda t, y: reward_vector(y, np.full(len(y), d[t]), a), lo, hi)
+
+    @given(windows=_WINDOWS, stride=st.integers(1, 7), data=st.data())
+    def test_sq_dev(self, windows, stride, data):
+        _, bounds = windows
+        lo, hi = zip(*bounds)
+        target = data.draw(st.lists(st.floats(-5, 90), min_size=len(lo), max_size=len(lo)))
+        env = convexify_sq_dev(target, lo, hi, stride)
+        self._check(env, lambda t, y: (y - target[t]) ** 2, lo, hi)
+
+
 def _bits(v) -> bytes:
     return np.ascontiguousarray(v).tobytes()
-
-
-_DEMAND = st.one_of(st.just(0.0), st.floats(1e-3, 0.5), st.floats(0.5, 50))
 
 
 class TestMatchesPerStepChords:

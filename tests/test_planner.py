@@ -13,6 +13,9 @@ from shiftopt import (
     SolveStatus,
     build_deviation_mip,
     build_reward_mip,
+    concavify_reward,
+    convexify_sq_dev,
+    demand_vector,
     milp_solve,
     plan,
     plan_baseline,
@@ -22,7 +25,7 @@ from shiftopt import (
 from shiftopt import benchmark, milp, planner
 from shiftopt.planner import EconomicStandard, ServiceStandard
 
-from oracles import best_plan_by_enumeration
+from oracles import best_plan_by_enumeration, segment_matrix_by_blocks
 
 
 def small_scenario(**kw):
@@ -76,6 +79,48 @@ class TestBuildDeviationMip:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             build_deviation_mip(small_scenario(), np.zeros(3))
+
+
+class TestSegmentMatrix:
+    """The segment model's rows, assembled from index arithmetic, equal the
+    block-by-block reference entry for entry."""
+
+    @staticmethod
+    def _check(scenario, env, build=planner._segment_model):
+        got = build(scenario, env).A_eq
+        want = segment_matrix_by_blocks(scenario, env)
+        assert got.format == "csc" and got.shape == want.shape
+        assert got.indptr.tolist() == want.indptr.tolist()
+        assert got.indices.tolist() == want.indices.tolist()
+        assert got.data.tolist() == want.data.tolist()
+
+    @pytest.mark.parametrize("boundary, delta, beta", [
+        (Boundary.ZERO_PADDED, 2, 1),
+        (Boundary.ZERO_PADDED, 5, 4),
+        (Boundary.CIRCULAR, 2, 1),
+        (Boundary.CIRCULAR, 5, 4),  # delta + beta > T: a window holds a start twice
+        (Boundary.CIRCULAR, 6, 6),
+    ])
+    def test_full_and_windowed_envelopes(self, boundary, delta, beta):
+        sc = small_scenario(N=3, s=2, delta=delta, beta=beta, c_veh=5, boundary=boundary)
+        d = demand_vector(sc)
+        lo, hi = np.array([0, 1, 2, 0, 3, 1]), np.array([3, 2, 5, 1, 4, 5])
+        for env in (concavify_reward(d, sc.a, 0, 5), concavify_reward(d, sc.a, lo, hi),
+                    convexify_sq_dev(d, 0, 5, stride=2), convexify_sq_dev(d, lo, hi)):
+            self._check(sc, env)
+
+    def test_every_round_of_a_windowed_solve(self, monkeypatch):
+        envs = []
+        real = planner._segment_model
+
+        def checked(scenario, env):
+            envs.append(env)
+            self._check(scenario, env, real)
+            return real(scenario, env)
+
+        monkeypatch.setattr(planner, "_segment_model", checked)
+        sc = Scenario(T=48, N=120, s=2, delta=6, beta=4, d_max=120.0, a=2.0, c_veh=100)
+        assert plan(sc).nodes == len(envs) >= 2
 
 
 class TestPlan:
