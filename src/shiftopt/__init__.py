@@ -16,7 +16,6 @@ from .domain import (
     Scenario,
     ShiftPlan,
     SupplyCurve,
-    demand_at,
     demand_vector,
     reward,
     supply_curve,

@@ -14,15 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (
-    RewardParams,
-    Scenario,
-    ShiftPlan,
-    demand_vector,
-    reward,
-    reward_vector,
-    total_reward,
-)
+from .domain import Scenario, ShiftPlan, demand_vector, reward_vector, total_reward
 
 __all__ = [
     "AgnosticOptimum",
@@ -63,23 +55,18 @@ def agnostic_optimum_closed_form(scenario: Scenario) -> AgnosticOptimum:
     y_star = budget * d / d_sum
     r_star = _total_reward_of_supply(y_star, d, scenario.a)
     if budget > 0:
-        lam = scenario.a * math.exp(-scenario.a * budget / d_sum)
+        # a Python float: a*budget/d_sum is inf, without a warning, for a subnormal d_sum
+        lam = scenario.a * math.exp(-scenario.a * budget / float(d_sum))
     else:
         lam = scenario.a
     return AgnosticOptimum(y_star=y_star, r_star=r_star, lam=lam)
 
 
-def water_fill(
-    scenario: Scenario,
-    budget: float | None = None,
-    lo_init: float | None = None,
-) -> AgnosticOptimum:
+def water_fill(scenario: Scenario, budget: float | None = None) -> AgnosticOptimum:
     """Multiplier-search solution of the budgeted concave allocation.
 
     Bisects on the common marginal reward lam; supply at a step with demand d
     is max(0, (d/a) * ln(a/lam)). Works for any step with d = 0 (gets zero).
-    `lo_init` seeds the lower end of the bracket (testing hook; the result is
-    independent of it).
     """
     if budget is None:
         budget = float(scenario.working_time)
@@ -101,10 +88,7 @@ def water_fill(
         return y
 
     # supply total is decreasing in lam; bracket [lo, hi] with hi = a (zero supply)
-    hi = a
-    lo = min(lo_init, a / 2.0) if lo_init is not None else a / 2.0
-    if lo <= 0:
-        raise ValueError("bracket seed must be > 0")
+    lo, hi = a / 2.0, a
     while supply(lo).sum() < budget:
         lo /= 2.0
     for _ in range(200):
@@ -142,11 +126,9 @@ def service_standard_supply(scenario: Scenario, c_frac: float) -> np.ndarray:
     d = demand_vector(scenario)
     a = scenario.a
     y = d / a * math.log(1.0 / (1.0 - c_frac))
-    for di, yi in zip(d, y):
-        if di > 0:
-            served = reward(float(yi), RewardParams(d=float(di), a=a))
-            if abs(served - c_frac * di) > 1e-9 * max(1.0, abs(c_frac * di)):
-                raise AssertionError("service-standard supply failed verification")
+    served = c_frac * d
+    if np.any(np.abs(reward_vector(y, d, a) - served) > 1e-9 * np.maximum(1.0, served)):
+        raise AssertionError("service-standard supply failed verification")
     return y
 
 
@@ -159,10 +141,12 @@ def economic_standard_supply(scenario: Scenario, c_cost: float) -> np.ndarray:
     if a <= c_cost:
         return np.zeros(scenario.T)
     y = d / a * math.log(a / c_cost)
-    for di, yi in zip(d, y):
-        if di > 0:
-            # stationarity: f'(y) = a * exp(-a*y/d) = c
-            marginal = a * math.exp(-a * yi / di)
-            if abs(marginal - c_cost) > 1e-9 * max(1.0, c_cost):
-                raise AssertionError("economic-standard supply failed verification")
+    # stationarity f'(y) = a * exp(-a*y/d) = c where y is a normal float: a
+    # subnormal y has lost the bits that would show it. y/d = ln(a/c)/a
+    # overflows only for an a so small that every marginal in [0, a] passes
+    on = y >= np.finfo(float).tiny
+    with np.errstate(over="ignore"):
+        marginal = a * np.exp(-y[on] / d[on] * a)
+    if np.any(np.abs(marginal - c_cost) > 1e-9 * max(1.0, c_cost)):
+        raise AssertionError("economic-standard supply failed verification")
     return y

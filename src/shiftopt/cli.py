@@ -22,7 +22,7 @@ import numpy as np
 
 from . import benchmark, planner, roster as rostering
 from .benchmark import AgnosticOptimum
-from .domain import RewardParams, Scenario, ShiftPlan, demand_vector, reward
+from .domain import Scenario, ShiftPlan, demand_vector, reward_vector
 from .milp import export_lp
 from .planner import EconomicStandard, PlanningError, ServiceStandard
 
@@ -80,7 +80,7 @@ def _write_all(out_dir: str, files: dict[str, str]) -> None:
         _atomic_write(out_dir, filename, text)
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(header: list[str], rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -124,21 +124,13 @@ def _cmd_plan(config: dict) -> dict[str, str]:
     opt = _agnostic(scenario)
     d = demand_vector(scenario)
     gap = _gap_or_one(result.true_reward, opt)
-    plan_rows = [[t, int(result.plan.x[t - 1])] for t in range(1, scenario.T + 1)]
-    supply_rows = [
-        [
-            t,
-            float(d[t - 1]),
-            float(result.supply.y[t - 1]),
-            float(result.supply.z[t - 1]),
-            float(opt.y_star[t - 1]),
-            reward(float(result.supply.y[t - 1]), RewardParams(d=float(d[t - 1]), a=scenario.a)),
-        ]
-        for t in range(1, scenario.T + 1)
-    ]
+    y, z = result.supply.y, result.supply.z
+    steps = range(1, scenario.T + 1)
+    supply_columns = (d, y.astype(float), z.astype(float), opt.y_star,
+                      reward_vector(y, d, scenario.a))
     summary = {
         "sum_x": int(result.plan.total),
-        "max_z": int(result.supply.z.max()) if scenario.T else 0,
+        "max_z": int(z.max()),
         "true_reward": result.true_reward,
         "mip_objective": result.mip_objective,
         "r_star": opt.r_star,
@@ -147,8 +139,9 @@ def _cmd_plan(config: dict) -> dict[str, str]:
         "nodes": result.nodes,
     }
     return {
-        "plan.csv": _csv_text(["t", "x"], plan_rows),
-        "supply.csv": _csv_text(["t", "demand", "y", "z", "y_star", "reward"], supply_rows),
+        "plan.csv": _csv_text(["t", "x"], zip(steps, result.plan.x.tolist())),
+        "supply.csv": _csv_text(["t", "demand", "y", "z", "y_star", "reward"],
+                                zip(steps, *(c.tolist() for c in supply_columns))),
         "summary.json": json.dumps(summary, indent=2) + "\n",
     }
 
@@ -233,15 +226,8 @@ def _cmd_sweep(config: dict) -> dict[str, str]:
         gap = _gap_or_one(result.true_reward, opt)
         rows.append([value, gap, result.true_reward, opt.r_star, result.nodes])
         norm = float(scenario.working_time)
-        for t in range(1, scenario.T + 1):
-            supply_rows.append(
-                [
-                    value,
-                    t,
-                    float(result.supply.y[t - 1]) / norm,
-                    float(opt.y_star[t - 1]) / norm,
-                ]
-            )
+        supply_rows += zip([value] * scenario.T, range(1, scenario.T + 1),
+                           (result.supply.y / norm).tolist(), (opt.y_star / norm).tolist())
     return {
         "sweep.csv": _csv_text(
             ["sweep_value", "relative_gap", "true_reward", "r_star", "nodes"], rows
@@ -271,7 +257,7 @@ def _cmd_compare(config: dict) -> dict[str, str]:
     robust_rows = []
     for n in values:
         scenario = _compare_scenario(config, int(n))
-        if scenario.N == 0 or scenario.d_max == 0:
+        if scenario.N == 0 or not demand_vector(scenario).any():
             rows.append([int(n), 1.0, 1.0, 1.0])
             continue
         opt = _agnostic(scenario)

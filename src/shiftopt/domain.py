@@ -20,7 +20,6 @@ __all__ = [
     "Scenario",
     "ShiftPlan",
     "SupplyCurve",
-    "demand_at",
     "demand_vector",
     "reward",
     "reward_vector",
@@ -216,13 +215,6 @@ class RewardParams:
             raise ValueError("steepness must be > 0")
 
 
-def demand_at(scenario: Scenario, t: int) -> float:
-    """Demanded rides at time step t (1-based)."""
-    if not 1 <= t <= scenario.T:
-        raise IndexError(f"t={t} outside 1..{scenario.T}")
-    return float(demand_vector(scenario)[t - 1])
-
-
 def demand_vector(scenario: Scenario) -> np.ndarray:
     """Demand at every time step, as an array of length T."""
     if scenario.demand_model is DemandModel.EXPLICIT:
@@ -245,18 +237,8 @@ def reward(y: float, p: RewardParams) -> float:
     return p.d * (1.0 - math.exp(-p.a * y / p.d))
 
 
-def _window_sum(x: np.ndarray, width: int, boundary: Boundary) -> np.ndarray:
-    """Backward-looking window sum: out[i] = sum of x[i-width+1 .. i]."""
-    T = len(x)
-    if boundary is Boundary.CIRCULAR:
-        idx = (np.arange(T)[:, None] - np.arange(width)[None, :]) % T
-        return x[idx].sum(axis=1)
-    padded = np.concatenate([np.zeros(width - 1, dtype=x.dtype), x])
-    return np.convolve(padded, np.ones(width, dtype=x.dtype), mode="valid")
-
-
 def reward_vector(y, d, a: float) -> np.ndarray:
-    """reward() at every step: d_t * (1 - exp(-a*y_t/d_t)), 0 where d_t = 0."""
+    """The reward at every step: d_t * (1 - exp(-a*y_t/d_t)), 0 where d_t = 0."""
     y, d = np.asarray(y, dtype=float), np.asarray(d, dtype=float)
     out = np.zeros_like(y)
     on = d > 0
@@ -267,9 +249,10 @@ def reward_vector(y, d, a: float) -> np.ndarray:
 
 
 def window_indices(scenario: Scenario, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row t and column tau of every unit entry of the T x T matrix W with
-    W @ x = _window_sum(x, width, scenario.boundary). A circular window wider
-    than T holds a start twice: its (t, tau) pair repeats, and entries add up."""
+    """Row t and column tau of every unit entry of the T x T window matrix W:
+    (W @ x)[t] sums the starts x[t-width+1 .. t], with indices below 0 dropped
+    (zero-padded) or wrapped (circular). A circular window wider than T holds
+    a start twice: its (t, tau) pair repeats, and entries add up."""
     T = scenario.T
     t = np.repeat(np.arange(T), width)
     tau = t - np.tile(np.arange(width), T)
@@ -282,9 +265,12 @@ def supply_curve(plan: ShiftPlan, scenario: Scenario) -> SupplyCurve:
     """Active shifts y_t and active extended shifts z_t for a plan."""
     if len(plan) != scenario.T:
         raise ValueError(f"plan length {len(plan)} != T={scenario.T}")
-    y = _window_sum(plan.x, scenario.delta, scenario.boundary)
-    z = _window_sum(plan.x, scenario.delta + scenario.beta, scenario.boundary)
-    return SupplyCurve(y=y, z=z)
+
+    def window_sum(width: int) -> np.ndarray:
+        t, tau = window_indices(scenario, width)
+        return np.bincount(t, plan.x[tau], scenario.T).astype(np.int64)
+
+    return SupplyCurve(y=window_sum(scenario.delta), z=window_sum(scenario.delta + scenario.beta))
 
 
 def total_reward(plan: ShiftPlan, scenario: Scenario) -> float:

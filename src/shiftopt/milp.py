@@ -52,13 +52,14 @@ def _rows(A, b, n: int) -> tuple[csc_matrix, np.ndarray]:
 @dataclass(frozen=True)
 class MilpModel:
     """max objective·v + constant  s.t.  A_ub v <= b_ub, A_eq v = b_eq,
-    lower <= v <= upper, with v_j integral where is_integer[j]."""
+    lower <= v <= upper, with v_j integral where is_integer[j]. `names`, one
+    per column, are only read by `export_lp`."""
 
     objective: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     is_integer: np.ndarray
-    names: list[str]
+    names: list[str] | None = None
     A_ub: csc_matrix | None = None
     b_ub: np.ndarray | None = None
     A_eq: csc_matrix | None = None
@@ -75,7 +76,7 @@ class MilpModel:
         if np.any(self.lower > self.upper):
             raise ValueError("inconsistent variable bounds")
         object.__setattr__(self, "is_integer", np.asarray(self.is_integer, dtype=bool))
-        if self.is_integer.shape != (n,) or len(self.names) != n:
+        if self.is_integer.shape != (n,) or (self.names is not None and len(self.names) != n):
             raise ValueError("is_integer and names must have one entry per column")
         for kind in ("ub", "eq"):
             A, b = _rows(getattr(self, f"A_{kind}"), getattr(self, f"b_{kind}"), n)
@@ -142,7 +143,7 @@ def milp_solve(model: MilpModel) -> MilpSolution:
     if np.any(off > INT_TOL):
         j = int(np.argmax(off))
         raise RuntimeError(
-            f"LP optimum is not integral: {model.names[j]} = {sol.values[j]:.9g}; "
+            f"LP optimum is not integral: column {j} = {sol.values[j]:.9g}; "
             "the model is not totally unimodular with integral data"
         )
     return replace(sol, values=values, objective=float(model.objective @ values) + model.constant)
@@ -166,8 +167,9 @@ def export_lp(model: MilpModel, name: str = "shiftopt") -> str:
 
     A nonzero objective constant is written as a comment: the LP format has
     no place for it, so the exported optimum differs from milp_solve's by it.
+    An unnamed model's columns are written v1..vn.
     """
-    names = model.names
+    names = model.names or [f"v{j}" for j in range(1, model.n_vars + 1)]
     lines = [f"\\ Problem: {name}"]
     if model.constant:
         lines.append(f"\\ Objective constant: {_num(model.constant)}")

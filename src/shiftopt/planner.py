@@ -16,7 +16,7 @@ separable concave objectives; Hochbaum 1994, Math. OR 19(2)).
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -106,18 +106,24 @@ def _segment_model(scenario: Scenario, env: Envelopes) -> MilpModel:
                      [len(y_rows), T, len(z_rows), T, T, T, n_seg])
     A_eq = sparse.csc_matrix((data, (rows, cols)), shape=(3 * T + 1, 3 * T + n_seg))
     b_eq = np.concatenate([np.zeros(2 * T), [scenario.total_shifts], lo])
-    steps = range(1, T + 1)
-    seg_names = [f"u_{t}_{k}" for t, n in zip(steps, per_step.tolist()) for k in range(1, n + 1)]
     return MilpModel(
         objective=np.concatenate([np.zeros(3 * T), env.sign * env.slopes]),
         lower=np.concatenate([np.zeros(T), lo, np.zeros(T + n_seg)]),
         upper=np.concatenate([np.full(T, N), hi, np.full(T, N), widths]),
         is_integer=np.arange(3 * T + n_seg) < T,
-        names=[f"{v}_{t}" for v in "xyz" for t in steps] + seg_names,
         A_eq=A_eq,
         b_eq=b_eq,
         constant=env.sign * sum(env.start_value.tolist()),  # sum_t envelope_t(lo_t)
     )
+
+
+def _named(model: MilpModel, env: Envelopes) -> MilpModel:
+    """The segment model with its columns named x_t, y_t, z_t and u_t_k
+    (segment k of step t), as `export_lp` writes them."""
+    steps = range(1, len(env.start) + 1)
+    per_step = np.bincount(env.step, minlength=len(env.start)).tolist()
+    seg_names = [f"u_{t}_{k}" for t, n in zip(steps, per_step) for k in range(1, n + 1)]
+    return replace(model, names=[f"{v}_{t}" for v in "xyz" for t in steps] + seg_names)
 
 
 def _y_max(scenario: Scenario) -> int:
@@ -136,13 +142,13 @@ def _targets(scenario: Scenario, desired: np.ndarray) -> np.ndarray:
 def build_reward_mip(scenario: Scenario) -> MilpModel:
     """Reward-maximizing program over the chord envelopes of the reward."""
     env = concavify_reward(demand_vector(scenario), scenario.a, 0, _y_max(scenario))
-    return _segment_model(scenario, env)
+    return _named(_segment_model(scenario, env), env)
 
 
 def build_deviation_mip(scenario: Scenario, desired: np.ndarray) -> MilpModel:
     """Baseline program: maximize minus the sum of squared deviations from `desired`."""
     env = convexify_sq_dev(_targets(scenario, desired), 0, _y_max(scenario))
-    return _segment_model(scenario, env)
+    return _named(_segment_model(scenario, env), env)
 
 
 def _solve(scenario: Scenario, envelopes: Callable[..., Envelopes], *params) -> PlanResult:

@@ -1,8 +1,8 @@
-"""Independent oracles used by the tests: brute-force plan enumeration,
-random feasible-plan sampling, a minimal CPLEX-LP-format reader, the
-quadratic scan that defines greedy rostering, chord envelopes built one
-step at a time, the segment model's matrix built block by block, and demand
-and reward computed one step at a time."""
+"""Independent oracles used by the tests: window sums by convolution,
+brute-force plan enumeration, random feasible-plan sampling, a minimal
+CPLEX-LP-format reader, the quadratic scan that defines greedy rostering,
+chord envelopes built one step at a time, the segment model's matrix built
+block by block, and demand and reward computed one step at a time."""
 
 from __future__ import annotations
 
@@ -14,17 +14,31 @@ import numpy as np
 from scipy import sparse
 
 from shiftopt.domain import (
+    Boundary,
     DemandModel,
     RewardParams,
     Scenario,
     ShiftPlan,
-    _window_sum,
     reward,
-    supply_curve,
-    total_reward,
 )
 from shiftopt.piecewise import Envelopes
 from shiftopt.roster import ExtendedShift, Roster
+
+
+def window_sum(x: np.ndarray, width: int, boundary: Boundary) -> np.ndarray:
+    """Backward-looking window sum: out[i] = sum of x[i-width+1 .. i]."""
+    T = len(x)
+    if boundary is Boundary.CIRCULAR:
+        idx = (np.arange(T)[:, None] - np.arange(width)[None, :]) % T
+        return x[idx].sum(axis=1)
+    padded = np.concatenate([np.zeros(width - 1, dtype=x.dtype), x])
+    return np.convolve(padded, np.ones(width, dtype=x.dtype), mode="valid")
+
+
+def supply_by_window_sums(plan: ShiftPlan, scenario: Scenario):
+    """(y, z) of a plan from window_sum, independent of the package's window."""
+    return (window_sum(plan.x, scenario.delta, scenario.boundary),
+            window_sum(plan.x, scenario.delta + scenario.beta, scenario.boundary))
 
 
 def enumerate_feasible_plans(scenario: Scenario):
@@ -35,19 +49,16 @@ def enumerate_feasible_plans(scenario: Scenario):
         if sum(combo) != total:
             continue
         plan = ShiftPlan(x=np.array(combo))
-        curve = supply_curve(plan, scenario)
-        if curve.y.max(initial=0) > scenario.c_veh:
-            continue
-        if curve.z.max(initial=0) > scenario.N:
-            continue
-        yield plan
+        y, z = supply_by_window_sums(plan, scenario)
+        if y.max(initial=0) <= scenario.c_veh and z.max(initial=0) <= scenario.N:
+            yield plan
 
 
 def best_plan_by_enumeration(scenario: Scenario):
     """(best_reward, best_plan) over the feasible set, or (None, None)."""
     best, best_plan = None, None
     for plan in enumerate_feasible_plans(scenario):
-        r = total_reward(plan, scenario)
+        r = total_reward_by_loop(plan, scenario)
         if best is None or r > best + 1e-12:
             best, best_plan = r, plan
     return best, best_plan
@@ -64,8 +75,8 @@ def sample_feasible_plan(scenario: Scenario, rng: np.random.Generator, tries: in
         if x.max(initial=0) > scenario.N:
             continue
         plan = ShiftPlan(x=x)
-        curve = supply_curve(plan, scenario)
-        if curve.y.max(initial=0) <= scenario.c_veh and curve.z.max(initial=0) <= scenario.N:
+        y, z = supply_by_window_sums(plan, scenario)
+        if y.max(initial=0) <= scenario.c_veh and z.max(initial=0) <= scenario.N:
             return plan
     return None
 
@@ -120,7 +131,7 @@ def segment_matrix_by_blocks(scenario: Scenario, env: Envelopes) -> sparse.csc_m
 
     def window(width):
         starts = np.eye(T, dtype=np.int64)
-        return np.column_stack([_window_sum(e, width, scenario.boundary) for e in starts])
+        return np.column_stack([window_sum(e, width, scenario.boundary) for e in starts])
 
     eye = sparse.identity(T, format="csr")
     segments = sparse.csr_matrix((np.ones(n_seg), (env.step, np.arange(n_seg))), shape=(T, n_seg))
@@ -157,7 +168,7 @@ def reward_of_supply_by_loop(y, d, a: float) -> float:
 
 def total_reward_by_loop(plan: ShiftPlan, scenario: Scenario) -> float:
     """total_reward of a plan, one step at a time."""
-    y = supply_curve(plan, scenario).y
+    y, _ = supply_by_window_sums(plan, scenario)
     return reward_of_supply_by_loop(y, demand_by_loop(scenario), scenario.a)
 
 

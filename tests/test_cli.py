@@ -1,7 +1,9 @@
+import io
 import json
 import math
 import os
 import tempfile
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +197,23 @@ class TestCompareCommand:
         _, rows = read_csv(str(out / "compare.csv"))
         assert rows[0][1:] == [1.0, 1.0, 1.0]
 
+    def test_explicit_demand_ignores_d_max(self, tmp_path):
+        """Explicit demand with d_max 0 is planned, not skipped as all-zero demand."""
+        sc = base_scenario(T=6, N=3, s=1, delta=2, beta=1, demand_model="explicit",
+                           demand=[1.0, 4.0, 6.0, 5.0, 2.0, 1.0])
+        outputs = []
+        for d_max in (0.0, 1.0):
+            (tmp_path / str(d_max)).mkdir()
+            config = {"kind": "compare_baselines", "scenario": {**sc, "d_max": d_max},
+                      "sweep_values": [3], "service_fraction": 0.8, "economic_cost": 1.0}
+            code, out = run(tmp_path / str(d_max), "compare", config)
+            assert code == EXIT_OK
+            outputs.append([read_csv(str(out / f)) for f in ("compare.csv", "robustness.csv")])
+        assert outputs[0] == outputs[1]
+        (_, rows), (_, robust) = outputs[0]
+        assert rows[0][1:] == pytest.approx([0.0434, 0.0873, 0.0434], abs=1e-4)
+        assert len(robust) == 6
+
 
 def _compare_config(**kw):
     config = {
@@ -259,6 +278,11 @@ _JUNK = st.one_of(
     st.floats(-3.0, 6.0), st.sampled_from([math.nan, math.inf, -math.inf, 1.5, 0.5]),
 )
 _JUNK_OR_LIST = st.one_of(_JUNK, st.lists(_JUNK, max_size=3))
+# an explicit demand for T = 12, with subnormal and tiny entries
+_DEMAND = st.lists(st.one_of(st.sampled_from([0.0, 5e-324, 1e-320, 1e-300]),
+                             st.floats(0.0, 10.0)), min_size=12, max_size=12)
+# fields that every command accepts
+_VALID_FIELDS = {"sweep_values": [1, 2], "service_fraction": 0.8, "economic_cost": 1.0}
 _FIELDS = {
     "sweep_values": _JUNK_OR_LIST,
     "service_fraction": _JUNK,
@@ -288,17 +312,29 @@ _KIND_AND_COMMAND = [
     fields=st.fixed_dictionaries({}, optional=_FIELDS),
     scenario=st.fixed_dictionaries({}, optional=_SCENARIO_FIELDS),
     N=st.integers(0, 4), s=st.integers(1, 2), delta=st.integers(1, 4),
-    c_veh=st.integers(0, 5),
+    c_veh=st.integers(0, 5), demand=st.one_of(st.none(), _DEMAND),
+    keep=st.sampled_from([None, *_FIELDS, *_SCENARIO_FIELDS]),
 )
-def test_config_fuzz_never_exit_1(kind_and_command, fields, scenario, N, s, delta, c_veh):
-    """Every command's config either runs or fails with a documented exit code."""
+def test_config_fuzz_never_exit_1(kind_and_command, fields, scenario, N, s, delta, c_veh,
+                                  demand, keep):
+    """Every command's config either runs or fails with a documented exit code:
+    one line on stderr if it fails, nothing if it runs. With a drawn explicit
+    demand, the config starts from valid fields and keeps only the drawn field
+    named `keep`, so that about half of such runs get past validation."""
     kind, command = kind_and_command
-    config = {"kind": kind,
-              "scenario": {**base_scenario(N=N, s=s, delta=delta, c_veh=c_veh), **scenario},
-              **fields}
-    with tempfile.TemporaryDirectory() as tmp:
+    base = base_scenario(N=N, s=s, delta=delta, c_veh=c_veh)
+    if demand is not None:
+        base.update(demand_model="explicit", demand=demand)
+        fields = {**_VALID_FIELDS, **{k: v for k, v in fields.items() if k == keep}}
+        scenario = {k: v for k, v in scenario.items() if k == keep}
+    config = {"kind": kind, "scenario": {**base, **scenario}, **fields}
+    with tempfile.TemporaryDirectory() as tmp, redirect_stderr(io.StringIO()) as err:
         code, _ = run(Path(tmp), command, config)
     assert code in (EXIT_OK, EXIT_BAD_CONFIG, EXIT_INFEASIBLE, EXIT_IO, EXIT_VERIFICATION)
+    if code == EXIT_OK:
+        assert err.getvalue() == ""
+    else:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 class TestRosterCommand:

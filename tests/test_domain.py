@@ -5,7 +5,6 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy import sparse
 
 from shiftopt import (
     Boundary,
@@ -13,15 +12,14 @@ from shiftopt import (
     RewardParams,
     Scenario,
     ShiftPlan,
-    demand_at,
     demand_vector,
     reward,
     supply_curve,
     total_reward,
 )
-from shiftopt.domain import reward_vector, window_indices
+from shiftopt.domain import reward_vector
 
-from oracles import demand_by_loop, total_reward_by_loop
+from oracles import demand_by_loop, total_reward_by_loop, window_sum
 
 _EPS = np.finfo(float).eps
 
@@ -86,30 +84,23 @@ class TestScenario:
 class TestDemand:
     def test_envelope_vanishes_at_horizon_end(self):
         sc = scenario(T=24, delta=2, d_max=10.0)
-        assert demand_at(sc, 24) == pytest.approx(0.0, abs=1e-12)
+        assert demand_vector(sc)[23] == pytest.approx(0.0, abs=1e-12)
 
     def test_envelope_midweek_value(self):
         # d_max/2 * (1 - cos(42*pi/12)) * sin(42*pi/168); cos(3.5*pi) = 0
         sc = Scenario(T=168, N=1, s=1, delta=1, beta=0, d_max=10.0, a=1.0, c_veh=1)
         expected = 5.0 * (1.0 - math.cos(42 * math.pi / 12)) * math.sin(math.pi / 4)
         assert expected == pytest.approx(5 * math.sin(math.pi / 4))
-        assert demand_at(sc, 42) == pytest.approx(expected, abs=1e-12)
-        assert demand_at(sc, 42) == pytest.approx(3.5355339059, abs=1e-9)
+        assert demand_vector(sc)[41] == pytest.approx(expected, abs=1e-12)
+        assert demand_vector(sc)[41] == pytest.approx(3.5355339059, abs=1e-9)
 
     def test_offset_sinusoid(self):
         sc = scenario(T=24, d_max=10.0, demand_model=DemandModel.OFFSET_SINUSOID)
-        assert demand_at(sc, 6) == pytest.approx(20.0)
-
-    def test_out_of_range(self):
-        sc = scenario()
-        with pytest.raises(IndexError):
-            demand_at(sc, 0)
-        with pytest.raises(IndexError):
-            demand_at(sc, 9)
+        assert demand_vector(sc)[5] == pytest.approx(20.0)
 
     def test_explicit(self):
         sc = scenario(demand_model=DemandModel.EXPLICIT, demand=tuple(range(8)))
-        assert demand_at(sc, 3) == 2.0
+        assert demand_vector(sc)[2] == 2.0
         assert list(demand_vector(sc)) == list(range(8))
 
     @pytest.mark.parametrize("model", [DemandModel.ENVELOPE_SINUSOID, DemandModel.OFFSET_SINUSOID])
@@ -210,7 +201,7 @@ class TestSupplyCurve:
     def test_random_plan_invariants(self, data):
         T = data.draw(st.integers(2, 10))
         delta = data.draw(st.integers(1, T))
-        beta = data.draw(st.integers(0, 3))
+        beta = data.draw(st.integers(0, 12))  # delta + beta > T about half the time
         x = np.array(data.draw(st.lists(st.integers(0, 3), min_size=T, max_size=T)))
         for boundary in Boundary:
             sc = Scenario(
@@ -221,11 +212,9 @@ class TestSupplyCurve:
             assert np.all(curve.z >= curve.y)
             assert np.all(curve.y >= 0)
             assert np.all(curve.z >= x)
-            # the planner's window rows sum the same starts, wide windows included
-            for width, want in ((delta, curve.y), (delta + beta, curve.z)):
-                rows, cols = window_indices(sc, width)
-                W = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(T, T))
-                assert np.array_equal(W @ x, want)
+            # the window sums by convolution agree, windows wider than T included
+            assert np.array_equal(curve.y, window_sum(x, delta, boundary))
+            assert np.array_equal(curve.z, window_sum(x, delta + beta, boundary))
             if boundary is Boundary.CIRCULAR:
                 assert curve.y.sum() == delta * x.sum()
             else:

@@ -38,7 +38,7 @@ def model(obj, lb, ub, integer=None, names=None, **rows):
         lower=lb,
         upper=ub,
         is_integer=[False] * n if integer is None else integer,
-        names=names or [f"v{j + 1}" for j in range(n)],
+        names=names,
         **rows,
     )
 
@@ -89,7 +89,7 @@ class TestMilpSolve:
     def test_fractional_vertex_raises(self):
         # max v s.t. 2 v <= 3: not totally unimodular, the LP optimum is 1.5
         m = model([1.0], [0.0], [10.0], integer=[True], A_ub=[[2.0]], b_ub=[3.0])
-        with pytest.raises(RuntimeError, match="not integral"):
+        with pytest.raises(RuntimeError, match="not integral: column 0 = 1.5;"):
             milp_solve(m)
 
     def test_infeasible_integer(self):
@@ -192,6 +192,19 @@ class TestExportLp:
         for section in ("Maximize", "Subject To", "Bounds", "End"):
             assert section in text
         assert text.endswith("End\n")
+
+    def test_unnamed_model_writes_v1_to_vn(self):
+        m = model([2.0, -1.0], [0.0, 1.0], [3.0, 4.0], integer=[True, False],
+                  A_eq=[[1.0, 1.0]], b_eq=[2.0])
+        assert m.names is None
+        assert export_lp(m).splitlines()[1:] == [
+            "Maximize", " obj: 2 v1 - 1 v2", "Subject To", " c0: 1 v1 + 1 v2 = 2",
+            "Bounds", " 0 <= v1 <= 3", " 1 <= v2 <= 4", "Generals", " v1", "End",
+        ]
+
+    def test_names_must_match_the_columns(self):
+        with pytest.raises(ValueError, match="names"):
+            model([1.0, 1.0], [0.0, 0.0], [1.0, 1.0], names=["only_one"])
 
     def test_integer_listed_under_generals(self):
         m = model([1.0], [0.0], [3.0], integer=[True], names=["n_shifts"])

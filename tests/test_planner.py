@@ -16,6 +16,7 @@ from shiftopt import (
     concavify_reward,
     convexify_sq_dev,
     demand_vector,
+    export_lp,
     milp_solve,
     plan,
     plan_baseline,
@@ -162,6 +163,20 @@ class TestPlan:
         assert plan(sc).nodes == 1
         assert plan_baseline(sc, ServiceStandard(0.8)).nodes == 1
         assert len(calls) == 2
+
+    def test_solved_models_are_unnamed_exported_models_named(self, monkeypatch):
+        names = []
+        real = planner.milp_solve
+        monkeypatch.setattr(planner, "milp_solve", lambda m: names.append(m.names) or real(m))
+        sc = Scenario(T=48, N=120, s=2, delta=6, beta=4, d_max=120.0, a=2.0, c_veh=100)
+        rounds = sum(solve(sc).nodes for solve in (
+            plan, lambda sc: plan_baseline(sc, ServiceStandard(0.8)),
+            lambda sc: plan_baseline(sc, EconomicStandard(1.0))))
+        assert rounds >= 6 and names == [None] * rounds
+        generals = "".join(f" x_{t}\n" for t in range(1, sc.T + 1)) + "End\n"
+        for model in (build_reward_mip(sc), build_deviation_mip(sc, demand_vector(sc))):
+            assert export_lp(model).split("Generals\n")[1] == generals
+            assert model.names[2 * sc.T] == "z_1" and model.names[-1].startswith("u_48_")
 
     def test_windowed_rounds_end_inside_their_windows(self, monkeypatch):
         bounds = []
