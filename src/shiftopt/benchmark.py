@@ -21,6 +21,7 @@ __all__ = [
     "GapReport",
     "agnostic_optimum_closed_form",
     "economic_standard_supply",
+    "gap",
     "relative_gap",
     "service_standard_supply",
     "water_fill",
@@ -46,40 +47,33 @@ def _total_reward_of_supply(y: np.ndarray, d: np.ndarray, a: float) -> float:
 
 
 def agnostic_optimum_closed_form(scenario: Scenario) -> AgnosticOptimum:
-    """Optimal unconstrained supply: proportional to demand with budget sN*delta."""
+    """Optimal unconstrained supply: proportional to demand with budget sN*delta.
+    Without demand or budget, y* = 0 and r* = 0."""
     d = demand_vector(scenario)
     d_sum = d.sum()
-    if d_sum <= 0:
-        raise ValueError("all-zero demand: shift-agnostic optimum undefined")
     budget = float(scenario.working_time)
+    if d_sum == 0 or budget == 0:
+        return AgnosticOptimum(y_star=np.zeros(scenario.T), r_star=0.0, lam=scenario.a)
     y_star = budget * d / d_sum
     r_star = _total_reward_of_supply(y_star, d, scenario.a)
-    if budget > 0:
-        # a Python float: a*budget/d_sum is inf, without a warning, for a subnormal d_sum
-        lam = scenario.a * math.exp(-scenario.a * budget / float(d_sum))
-    else:
-        lam = scenario.a
+    # a Python float: a*budget/d_sum is inf, without a warning, for a subnormal d_sum
+    lam = scenario.a * math.exp(-scenario.a * budget / float(d_sum))
     return AgnosticOptimum(y_star=y_star, r_star=r_star, lam=lam)
 
 
-def water_fill(scenario: Scenario, budget: float | None = None) -> AgnosticOptimum:
+def water_fill(scenario: Scenario) -> AgnosticOptimum:
     """Multiplier-search solution of the budgeted concave allocation.
 
     Bisects on the common marginal reward lam; supply at a step with demand d
     is max(0, (d/a) * ln(a/lam)). Works for any step with d = 0 (gets zero).
+    Without demand or budget, y* = 0 and r* = 0.
     """
-    if budget is None:
-        budget = float(scenario.working_time)
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
+    budget = float(scenario.working_time)
     d = demand_vector(scenario)
-    if d.sum() <= 0:
-        raise ValueError("all-zero demand: shift-agnostic optimum undefined")
+    if budget == 0 or not d.any():
+        return AgnosticOptimum(y_star=np.zeros(scenario.T), r_star=0.0, lam=scenario.a)
     a = scenario.a
     T = scenario.T
-
-    if budget == 0:
-        return AgnosticOptimum(y_star=np.zeros(T), r_star=0.0, lam=a)
 
     def supply(lam: float) -> np.ndarray:
         y = np.zeros(T)
@@ -109,14 +103,29 @@ def water_fill(scenario: Scenario, budget: float | None = None) -> AgnosticOptim
     return AgnosticOptimum(y_star=y_star, r_star=r_star, lam=lam)
 
 
+def gap(plan_reward: float, opt: AgnosticOptimum) -> float:
+    """Fraction of the shift-agnostic optimum reward r* that a plan's reward
+    falls short by; 1.0 when r* <= 0 (no drivers or no demand)."""
+    if opt.r_star <= 0:
+        return 1.0
+    return (opt.r_star - plan_reward) / opt.r_star
+
+
 def relative_gap(plan: ShiftPlan, scenario: Scenario) -> GapReport:
     """Fraction of the shift-agnostic optimum reward lost by this plan."""
     opt = agnostic_optimum_closed_form(scenario)
-    if opt.r_star <= 0:
-        raise ValueError("relative gap undefined: shift-agnostic optimum is <= 0")
     plan_reward = total_reward(plan, scenario)
-    delta = (opt.r_star - plan_reward) / opt.r_star
-    return GapReport(delta=delta, r_star=opt.r_star, plan_reward=plan_reward)
+    return GapReport(delta=gap(plan_reward, opt), r_star=opt.r_star, plan_reward=plan_reward)
+
+
+def _squarable(d: np.ndarray, a: float, log_ratio: float) -> np.ndarray:
+    """Desired supply d/a * log_ratio; ValueError where its square, which
+    the baseline program takes, is not a finite float."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = d / a * log_ratio
+    if not np.all(y <= math.sqrt(np.finfo(float).max)):
+        raise ValueError("desired supply is too large to square in float64")
+    return y
 
 
 def service_standard_supply(scenario: Scenario, c_frac: float) -> np.ndarray:
@@ -125,7 +134,7 @@ def service_standard_supply(scenario: Scenario, c_frac: float) -> np.ndarray:
         raise ValueError("service fraction must lie in (0, 1)")
     d = demand_vector(scenario)
     a = scenario.a
-    y = d / a * math.log(1.0 / (1.0 - c_frac))
+    y = _squarable(d, a, math.log(1.0 / (1.0 - c_frac)))
     served = c_frac * d
     if np.any(np.abs(reward_vector(y, d, a) - served) > 1e-9 * np.maximum(1.0, served)):
         raise AssertionError("service-standard supply failed verification")
@@ -140,7 +149,7 @@ def economic_standard_supply(scenario: Scenario, c_cost: float) -> np.ndarray:
     a = scenario.a
     if a <= c_cost:
         return np.zeros(scenario.T)
-    y = d / a * math.log(a / c_cost)
+    y = _squarable(d, a, math.log(a / c_cost))
     # stationarity f'(y) = a * exp(-a*y/d) = c where y is a normal float: a
     # subnormal y has lost the bits that would show it. y/d = ln(a/c)/a
     # overflows only for an a so small that every marginal in [0, a] passes

@@ -21,7 +21,6 @@ import tempfile
 import numpy as np
 
 from . import benchmark, planner, roster as rostering
-from .benchmark import AgnosticOptimum
 from .domain import Scenario, ShiftPlan, demand_vector, reward_vector
 from .milp import export_lp
 from .planner import EconomicStandard, PlanningError, ServiceStandard
@@ -104,26 +103,11 @@ def read_csv(path: str) -> tuple[list[str], list[list[float]]]:
     return header, [[cell(v) for v in row] for row in body]
 
 
-def _agnostic(scenario: Scenario) -> AgnosticOptimum:
-    """Shift-agnostic optimum; with no demand at all, r* = 0 and y* = 0."""
-    if not demand_vector(scenario).any():
-        return AgnosticOptimum(y_star=np.zeros(scenario.T), r_star=0.0, lam=scenario.a)
-    return benchmark.agnostic_optimum_closed_form(scenario)
-
-
-def _gap_or_one(reward_value: float, opt: AgnosticOptimum) -> float:
-    """Relative gap; the degenerate case r* = 0 (no budget or no demand) is reported as 1."""
-    if opt.r_star <= 0:
-        return 1.0
-    return (opt.r_star - reward_value) / opt.r_star
-
-
 def _cmd_plan(config: dict) -> dict[str, str]:
     scenario: Scenario = config["_scenario"]
     result = planner.plan(scenario)
-    opt = _agnostic(scenario)
+    opt = benchmark.agnostic_optimum_closed_form(scenario)
     d = demand_vector(scenario)
-    gap = _gap_or_one(result.true_reward, opt)
     y, z = result.supply.y, result.supply.z
     steps = range(1, scenario.T + 1)
     supply_columns = (d, y.astype(float), z.astype(float), opt.y_star,
@@ -134,7 +118,7 @@ def _cmd_plan(config: dict) -> dict[str, str]:
         "true_reward": result.true_reward,
         "mip_objective": result.mip_objective,
         "r_star": opt.r_star,
-        "relative_gap": gap,
+        "relative_gap": benchmark.gap(result.true_reward, opt),
         "solve_status": result.solve_status.value,
         "nodes": result.nodes,
     }
@@ -174,46 +158,43 @@ def _per_driver(config: dict) -> float | None:
     return None if v is None else _number("d_max_per_driver", v, lambda v: v >= 0, "a number >= 0")
 
 
-def _derive(base: Scenario, value, **fields) -> Scenario:
+def _derive(base: Scenario, value: int, **fields) -> Scenario:
     try:
         return dataclasses.replace(base, **fields)
     except ValueError as exc:
         raise ConfigError(f"sweep value {value!r} gives a bad scenario: {exc}") from exc
 
 
+def _with_drivers(base: Scenario, n: int, per_driver: float | None,
+                  scale_c_veh: bool = True) -> Scenario:
+    """The base scenario with n drivers, d_max = per_driver * n unless
+    per_driver is None, and c_veh raised to n if scale_c_veh."""
+    d_max = base.d_max if per_driver is None else per_driver * n
+    c_veh = max(base.c_veh, n) if scale_c_veh else base.c_veh
+    return _derive(base, n, N=n, d_max=d_max, c_veh=c_veh)
+
+
 def _sweep_scenarios(config: dict) -> list[tuple[float, Scenario]]:
     base: Scenario = config["_scenario"]
     kind = config["kind"]
-    values = _numbers(config, "sweep_values", _whole(1), "whole numbers >= 1")
+    values = [int(v) for v in _numbers(config, "sweep_values", _whole(1), "whole numbers >= 1")]
     per_driver = _per_driver(config)
-    if kind != "sweep_drivers" and base.N == 0:
+    if kind == "sweep_drivers":
+        scale = config.get("scale_c_veh", True)
+        if not isinstance(scale, bool):
+            raise ConfigError(f"scale_c_veh must be true or false, got {scale!r}")
+        return [(float(v), _with_drivers(base, v, per_driver, scale)) for v in values]
+    if base.N == 0:
         raise ConfigError(f"{kind} keeps the base scenario's total work, and N = 0 has none")
+    # s*N*delta held fixed (s or delta is the swept field): N scales as 1/value
+    field = "s" if kind == "sweep_shifts_per_driver" else "delta"
+    work = base.N * getattr(base, field)
     out = []
     for v in values:
-        fields = {}
-        if kind == "sweep_drivers":
-            fields["N"] = int(v)
-            if per_driver is not None:
-                fields["d_max"] = per_driver * int(v)
-            if config.get("scale_c_veh", True):
-                fields["c_veh"] = max(base.c_veh, int(v))
-        elif kind == "sweep_shifts_per_driver":
-            # total working time s*N*delta held fixed: N scales as 1/s
-            total = base.s * base.N
-            if total % int(v):
-                raise ConfigError(f"s={v} does not divide total shifts {total}")
-            fields["s"] = int(v)
-            fields["N"] = total // int(v)
-            fields["c_veh"] = max(base.c_veh, fields["N"])
-        else:  # sweep_shift_length
-            # s and s*N*delta held fixed: N scales as 1/delta
-            work = base.N * base.delta
-            if work % int(v):
-                raise ConfigError(f"delta={v} does not divide N*delta={work}")
-            fields["delta"] = int(v)
-            fields["N"] = work // int(v)
-            fields["c_veh"] = max(base.c_veh, fields["N"])
-        out.append((float(v), _derive(base, v, **fields)))
+        if work % v:
+            raise ConfigError(f"{field}={v} does not divide N*{field}={work}")
+        n = work // v
+        out.append((float(v), _derive(base, v, **{field: v, "N": n, "c_veh": max(base.c_veh, n)})))
     return out
 
 
@@ -222,9 +203,9 @@ def _cmd_sweep(config: dict) -> dict[str, str]:
     supply_rows = []
     for value, scenario in _sweep_scenarios(config):
         result = planner.plan(scenario)
-        opt = _agnostic(scenario)
-        gap = _gap_or_one(result.true_reward, opt)
-        rows.append([value, gap, result.true_reward, opt.r_star, result.nodes])
+        opt = benchmark.agnostic_optimum_closed_form(scenario)
+        rows.append([value, benchmark.gap(result.true_reward, opt), result.true_reward,
+                     opt.r_star, result.nodes])
         norm = float(scenario.working_time)
         supply_rows += zip([value] * scenario.T, range(1, scenario.T + 1),
                            (result.supply.y / norm).tolist(), (opt.y_star / norm).tolist())
@@ -238,13 +219,6 @@ def _cmd_sweep(config: dict) -> dict[str, str]:
     }
 
 
-def _compare_scenario(config: dict, n: int) -> Scenario:
-    base: Scenario = config["_scenario"]
-    per_driver = _per_driver(config)
-    d_max = per_driver * n if per_driver is not None else base.d_max
-    return _derive(base, n, N=n, d_max=d_max, c_veh=max(base.c_veh, n))
-
-
 def _cmd_compare(config: dict) -> dict[str, str]:
     values = _numbers(config, "sweep_values", _whole(0), "driver counts (whole numbers >= 0)")
     fraction, positive = (lambda v: 0 < v < 1), (lambda v: v > 0)
@@ -253,26 +227,26 @@ def _cmd_compare(config: dict) -> dict[str, str]:
     opts_frac = _numbers(config, "robustness_fractions", fraction, "numbers in (0, 1)",
                          [0.5, 0.8, 0.95])
     opts_cost = _numbers(config, "robustness_costs", positive, "numbers > 0", [0.5, 1.0, 1.5])
+    per_driver = _per_driver(config)
+    robust = [("service", c) for c in opts_frac] + [("economic", c) for c in opts_cost]
+    standards = [ServiceStandard(c_frac), EconomicStandard(c_cost)] + [
+        ServiceStandard(c) if name == "service" else EconomicStandard(c) for name, c in robust]
     rows = []
     robust_rows = []
-    for n in values:
-        scenario = _compare_scenario(config, int(n))
+    for n in (int(v) for v in values):
+        scenario = _with_drivers(config["_scenario"], n, per_driver)
         if scenario.N == 0 or not demand_vector(scenario).any():
-            rows.append([int(n), 1.0, 1.0, 1.0])
+            rows.append([n, 1.0, 1.0, 1.0])
             continue
-        opt = _agnostic(scenario)
-        ours = planner.plan(scenario)
-        service = planner.plan_baseline(scenario, ServiceStandard(c_frac))
-        economic = planner.plan_baseline(scenario, EconomicStandard(c_cost))
-        rows.append(
-            [int(n)] + [_gap_or_one(r.true_reward, opt) for r in (ours, service, economic)]
-        )
-        for c in opts_frac:
-            res = planner.plan_baseline(scenario, ServiceStandard(float(c)))
-            robust_rows.append(["service", float(c), int(n), _gap_or_one(res.true_reward, opt)])
-        for c in opts_cost:
-            res = planner.plan_baseline(scenario, EconomicStandard(float(c)))
-            robust_rows.append(["economic", float(c), int(n), _gap_or_one(res.true_reward, opt)])
+        opt = benchmark.agnostic_optimum_closed_form(scenario)
+        results = [planner.plan(scenario)]
+        try:  # a standard whose desired supply has no float64 square is rejected
+            results += [planner.plan_baseline(scenario, standard) for standard in standards]
+        except ValueError as exc:
+            raise ConfigError(f"N={n}: {exc}") from exc
+        gaps = [benchmark.gap(r.true_reward, opt) for r in results]
+        rows.append([n] + gaps[:3])
+        robust_rows += [[name, c, n, g] for (name, c), g in zip(robust, gaps[3:])]
     return {
         "compare.csv": _csv_text(["N", "gap_ours", "gap_service", "gap_economic"], rows),
         "robustness.csv": _csv_text(["standard", "c", "N", "relative_gap"], robust_rows),

@@ -7,7 +7,6 @@ numpy arrays indexed 0..T-1 with entry i corresponding to t = i + 1.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 
@@ -100,6 +99,11 @@ class Scenario:
             object.__setattr__(self, "demand", tuple(float(d) for d in self.demand))
         elif self.demand is not None:
             raise ValueError("demand vector only allowed with explicit demand model")
+        # keeps the agnostic optimum s*N*delta * d_t / sum(d) and the reward finite
+        with np.errstate(over="ignore"):
+            d = demand_vector(self)
+            if not (np.isfinite(d.sum()) and math.isfinite(self.working_time * float(d.max()))):
+                raise ValueError("demand sum and s*N*delta times peak demand must be finite")
 
     @property
     def total_shifts(self) -> int:
@@ -109,28 +113,6 @@ class Scenario:
     def working_time(self) -> int:
         """Total personnel time s*N*delta."""
         return self.s * self.N * self.delta
-
-    def to_json(self) -> str:
-        obj = {
-            "T": self.T,
-            "N": self.N,
-            "s": self.s,
-            "delta": self.delta,
-            "beta": self.beta,
-            "d_max": self.d_max,
-            "a": self.a,
-            "c_veh": self.c_veh,
-            "demand_model": self.demand_model.value,
-            "boundary": self.boundary.value,
-        }
-        if self.demand is not None:
-            obj["demand"] = list(self.demand)
-        return json.dumps(obj)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Scenario":
-        obj = json.loads(text)
-        return cls.from_dict(obj)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Scenario":

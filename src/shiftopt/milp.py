@@ -162,7 +162,7 @@ def _linear_expr(cols, coeffs, names: list[str]) -> str:
     return expr[2:] if expr.startswith("+ ") else expr
 
 
-def export_lp(model: MilpModel, name: str = "shiftopt") -> str:
+def export_lp(model: MilpModel) -> str:
     """Render the model in CPLEX LP format (write-only, LF line endings).
 
     A nonzero objective constant is written as a comment: the LP format has
@@ -170,7 +170,7 @@ def export_lp(model: MilpModel, name: str = "shiftopt") -> str:
     An unnamed model's columns are written v1..vn.
     """
     names = model.names or [f"v{j}" for j in range(1, model.n_vars + 1)]
-    lines = [f"\\ Problem: {name}"]
+    lines = ["\\ Problem: shiftopt"]
     if model.constant:
         lines.append(f"\\ Objective constant: {_num(model.constant)}")
     lines.append("Maximize")

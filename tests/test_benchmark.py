@@ -19,7 +19,7 @@ from shiftopt import (
     water_fill,
 )
 
-from shiftopt.benchmark import _total_reward_of_supply
+from shiftopt.benchmark import _total_reward_of_supply, gap
 
 from oracles import reward_of_supply_by_loop, sample_feasible_plan
 
@@ -77,9 +77,11 @@ class TestClosedForm:
         budget = headline_scenario.working_time
         assert opt.y_star.sum() == pytest.approx(budget, rel=1e-8)
 
-    def test_zero_demand_rejected(self):
-        with pytest.raises(ValueError):
-            agnostic_optimum_closed_form(explicit_scenario([0.0, 0.0]))
+    def test_zero_demand_gives_zero_optimum(self):
+        sc = explicit_scenario([0.0, 0.0])
+        for opt in (agnostic_optimum_closed_form(sc), water_fill(sc)):
+            assert opt.y_star.tolist() == [0.0, 0.0]
+            assert opt.r_star == 0.0 and opt.lam == sc.a
 
     @pytest.mark.parametrize("tiny", [1e-320, 5e-324])
     def test_subnormal_demand_without_warning(self, tiny):
@@ -97,10 +99,10 @@ class TestClosedForm:
 
 class TestWaterFill:
     def test_zero_budget(self):
-        sc = explicit_scenario([1.0, 2.0])
-        opt = water_fill(sc, budget=0.0)
+        sc = explicit_scenario([1.0, 2.0], N=0)
+        opt = water_fill(sc)
         assert np.all(opt.y_star == 0)
-        assert opt.lam == sc.a
+        assert opt.r_star == 0.0 and opt.lam == sc.a
 
     def test_matches_closed_form_headline(self, headline_scenario):
         wf = water_fill(headline_scenario)
@@ -109,8 +111,8 @@ class TestWaterFill:
         assert wf.r_star == pytest.approx(cf.r_star, rel=1e-9)
 
     def test_symmetric_two_steps(self):
-        sc = explicit_scenario([1.0, 1.0], a=2.0)
-        opt = water_fill(sc, budget=2.0)
+        sc = explicit_scenario([1.0, 1.0], N=2, a=2.0)  # budget 2
+        opt = water_fill(sc)
         assert opt.y_star == pytest.approx([1.0, 1.0], abs=1e-9)
         assert opt.lam == pytest.approx(2.0 * math.exp(-2.0), abs=1e-8)
 
@@ -132,6 +134,13 @@ class TestRelativeGap:
         sc = explicit_scenario([1.0, 2.0], N=1, s=1)
         report = relative_gap(ShiftPlan(x=np.array([0, 0])), sc)
         assert report.delta == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("demand, N", [([0.0, 0.0], 1), ([1.0, 2.0], 0)])
+    def test_no_demand_or_no_drivers_gap_is_one(self, demand, N):
+        sc = explicit_scenario(demand, N=N)
+        report = relative_gap(ShiftPlan(x=np.array([N, 0])), sc)
+        assert (report.delta, report.r_star) == (1.0, 0.0)
+        assert gap(0.5, agnostic_optimum_closed_form(sc)) == 1.0
 
     def test_upper_bounds_every_feasible_plan(self):
         rng = np.random.default_rng(7)
@@ -172,6 +181,13 @@ class TestServiceStandard:
         y = service_standard_supply(explicit_scenario([2.0, tiny, 0.0], a=2.0), 0.8)
         assert y[0] == pytest.approx(math.log(5.0), abs=1e-12)
         assert 0.0 <= y[1] <= tiny and y[2] == 0.0
+
+    def test_unsquarable_supply_rejected(self):
+        # d/a * ln 5 is about 1.6e300: its square overflows
+        with pytest.raises(ValueError, match="square"):
+            service_standard_supply(explicit_scenario([1.0, 0.0], a=1e-300), 0.8)
+        y = service_standard_supply(explicit_scenario([1.0, 0.0], a=1e-150), 0.8)
+        assert y[0] == pytest.approx(math.log(5.0) * 1e150, rel=1e-12)
 
     def test_fraction_bounds(self):
         sc = explicit_scenario([1.0])
@@ -218,6 +234,12 @@ class TestEconomicStandard:
         y = economic_standard_supply(explicit_scenario([2.0, tiny, 0.0], a=2.0), 1.0)
         assert y[0] == pytest.approx(math.log(2.0), abs=1e-12)
         assert 0.0 <= y[1] <= tiny and y[2] == 0.0
+
+    @pytest.mark.parametrize("a, cost", [(2.0, 5e-324), (1e-300, 1e-305)],
+                             ids=["a-over-c-overflows", "square-overflows"])
+    def test_unsquarable_supply_rejected(self, a, cost):
+        with pytest.raises(ValueError, match="square"):
+            economic_standard_supply(explicit_scenario([3.0, 0.0, 1.0], a=a), cost)
 
     def test_cost_must_be_positive(self):
         with pytest.raises(ValueError):

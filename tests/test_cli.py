@@ -156,6 +156,13 @@ class TestSweepCommand:
         code, _ = run(tmp_path, "sweep", config)
         assert code == EXIT_BAD_CONFIG
 
+    @pytest.mark.parametrize("scale, code", [(True, EXIT_OK), (False, EXIT_INFEASIBLE)])
+    def test_scale_c_veh(self, tmp_path, scale, code):
+        # 6 drivers of 6-step shifts fit in 12 steps only with c_veh raised to 6
+        config = {"kind": "sweep_drivers", "scale_c_veh": scale, "sweep_values": [6],
+                  "scenario": base_scenario(delta=6, beta=0, d_max=30.0, c_veh=2)}
+        assert run(tmp_path, "sweep", config)[0] == code
+
     def test_kind_mismatch_rejected(self, tmp_path):
         code, _ = run(tmp_path, "sweep", {"kind": "plan", "scenario": base_scenario()})
         assert code == EXIT_BAD_CONFIG
@@ -259,11 +266,30 @@ class TestConfigErrors:
             ("roster", _roster_config([[1]])),
             ("roster", _roster_config(None)),
             ("roster", _roster_config([10**30] + [0] * 5)),
+            ("sweep", {"kind": "sweep_drivers", "scenario": base_scenario(delta=6, beta=0),
+                       "sweep_values": [6], "scale_c_veh": "no"}),
+            # s*N*delta * max(d), then sum(d), then d_max * (1 + sin) overflows
+            ("compare", _compare_config(
+                scenario=base_scenario(T=6, N=3, a=0.5, c_veh=3, demand_model="explicit",
+                                       demand=[1e308, 1, 2, 3, 1, 1]),
+                sweep_values=[3], economic_cost=0.1)),
+            ("plan", {"kind": "plan", "scenario": base_scenario(
+                T=6, N=3, a=0.5, c_veh=3, demand_model="explicit",
+                demand=[1e308, 1e308, 2, 3, 1, 1])}),
+            ("plan", {"kind": "plan", "scenario": base_scenario(
+                T=6, N=3, a=0.5, c_veh=3, demand_model="offset_sinusoid", d_max=1e308)}),
+            # a desired supply whose square overflows: a/c and d/a * ln(a/c)
+            ("compare", _compare_config(scenario=base_scenario(d_max=3.0, c_veh=2),
+                                        economic_cost=5e-324)),
+            ("compare", _compare_config(scenario=base_scenario(d_max=3.0, a=1e-300, c_veh=2),
+                                        economic_cost=1e-305)),
         ],
         ids=["delta-above-T", "text-value", "scalar-values", "zero-work",
              "text-driver-count", "fraction-above-1", "text-cost", "text-per-driver",
              "infinite-T", "fractional-N", "text-T", "fractional-plan", "negative-plan",
-             "text-plan", "nested-plan", "null-plan", "huge-plan"],
+             "text-plan", "nested-plan", "null-plan", "huge-plan", "text-scale-c-veh",
+             "demand-times-work", "demand-sum", "offset-sinusoid-peak", "tiny-cost",
+             "tiny-a-and-cost"],
     )
     def test_exit_2_with_one_line(self, tmp_path, capsys, command, config):
         code, out = run(tmp_path, command, config)
@@ -275,11 +301,12 @@ class TestConfigErrors:
 
 _JUNK = st.one_of(
     st.none(), st.booleans(), st.text(max_size=2), st.integers(-2, 6),
-    st.floats(-3.0, 6.0), st.sampled_from([math.nan, math.inf, -math.inf, 1.5, 0.5]),
+    st.floats(-3.0, 6.0),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1.5, 0.5, 5e-324, 1e-300]),
 )
 _JUNK_OR_LIST = st.one_of(_JUNK, st.lists(_JUNK, max_size=3))
-# an explicit demand for T = 12, with subnormal and tiny entries
-_DEMAND = st.lists(st.one_of(st.sampled_from([0.0, 5e-324, 1e-320, 1e-300]),
+# an explicit demand for T = 12, with subnormal, tiny and huge entries
+_DEMAND = st.lists(st.one_of(st.sampled_from([0.0, 5e-324, 1e-320, 1e-300, 1e200, 1e308]),
                              st.floats(0.0, 10.0)), min_size=12, max_size=12)
 # fields that every command accepts
 _VALID_FIELDS = {"sweep_values": [1, 2], "service_fraction": 0.8, "economic_cost": 1.0}

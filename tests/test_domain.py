@@ -24,10 +24,11 @@ from oracles import demand_by_loop, total_reward_by_loop, window_sum
 _EPS = np.finfo(float).eps
 
 
+_FIELDS = dict(T=8, N=2, s=1, delta=2, beta=1, d_max=5.0, a=2.0, c_veh=5)
+
+
 def scenario(**kw):
-    base = dict(T=8, N=2, s=1, delta=2, beta=1, d_max=5.0, a=2.0, c_veh=5)
-    base.update(kw)
-    return Scenario(**base)
+    return Scenario(**{**_FIELDS, **kw})
 
 
 class TestScenario:
@@ -51,34 +52,46 @@ class TestScenario:
             scenario(demand_model=DemandModel.EXPLICIT, demand=(1.0,) * 7 + (bad,))
 
     def test_json_round_trip(self):
+        obj = {**_FIELDS, "demand_model": "explicit", "demand": list(range(8)),
+               "boundary": "circular"}
         sc = scenario(
             demand_model=DemandModel.EXPLICIT,
             demand=tuple(float(i) for i in range(8)),
             boundary=Boundary.CIRCULAR,
         )
-        assert Scenario.from_json(sc.to_json()) == sc
+        assert Scenario.from_dict(json.loads(json.dumps(obj))) == sc
 
     @pytest.mark.parametrize("field, value", [
         ("T", math.inf), ("T", 1e999), ("N", 2.9), ("T", "6"), ("s", True), ("delta", None),
         ("beta", math.nan), ("c_veh", [4]), ("d_max", "5"), ("a", False), ("demand", ["1"] * 8),
     ])
     def test_from_dict_rejects_bad_fields(self, field, value):
-        obj = {**json.loads(scenario().to_json()), field: value}
+        obj = {**_FIELDS, field: value}
         if field == "demand":
             obj["demand_model"] = "explicit"
         with pytest.raises(ValueError, match=field):
             Scenario.from_dict(obj)
 
     def test_from_dict_accepts_whole_floats(self):
-        obj = {**json.loads(scenario().to_json()), "T": 8.0, "N": 2.0}
+        obj = {**_FIELDS, "T": 8.0, "N": 2.0}
         assert Scenario.from_dict(obj) == scenario()
 
-    def test_json_keys_are_snake_case(self):
-        keys = set(json.loads(scenario().to_json()))
-        assert keys == {
-            "T", "N", "s", "delta", "beta", "d_max", "a", "c_veh",
-            "demand_model", "boundary",
-        }
+    @pytest.mark.parametrize("kw", [
+        # sum(d) overflows
+        dict(demand_model=DemandModel.EXPLICIT, demand=(1e308, 1e308) + (1.0,) * 6),
+        # s*N*delta * max(d) overflows
+        dict(demand_model=DemandModel.EXPLICIT, demand=(1e308,) + (1.0,) * 7),
+        # d_max * (1 + sin) overflows
+        dict(demand_model=DemandModel.OFFSET_SINUSOID, d_max=1e308),
+    ], ids=["sum", "working-time-times-peak", "offset-sinusoid"])
+    def test_demand_overflow_rejected(self, kw):
+        with pytest.raises(ValueError, match="must be finite"):
+            scenario(**kw)
+
+    def test_largest_demand_accepted(self):
+        sc = scenario(N=1, delta=1, demand_model=DemandModel.EXPLICIT,
+                      demand=(1e308,) + (0.0,) * 7)
+        assert demand_vector(sc)[0] == 1e308
 
 
 class TestDemand:
