@@ -1,8 +1,9 @@
 """Turn an optimal shift plan into a balanced per-driver roster.
 
-Greedy time-ordered assignment always succeeds on a feasible plan but can
-leave drivers with uneven shift counts. Alternating swaps along overlap
-chains then equalize the counts without ever breaking the rest-time rule.
+Extended shifts (shift plus break) all have the same length, so dealing a
+feasible plan's shifts in start order to the drivers in turn never gives a
+driver two overlapping shifts, and gives every driver exactly s of them.
+`rebalance` then has nothing to move, and `verify_roster` checks the result.
 """
 
 from shiftopt import (
@@ -18,13 +19,12 @@ scenario = Scenario(T=48, N=3, s=2, delta=4, beta=2, d_max=6.0, a=2.0, c_veh=6)
 result = plan(scenario)
 print(f"plan: {result.plan.x.tolist()}")
 
-greedy = greedy_assign(result.plan, scenario)
-print(f"greedy shift counts   : {greedy.counts()} (target {scenario.s} each)")
+dealt = greedy_assign(result.plan, scenario)
+print(f"dealt shift counts    : {dealt.counts()} (target {scenario.s} each)")
 
 trace = []
-balanced = rebalance(greedy, scenario.s, trace=trace)
-for step, counts in enumerate(trace, start=1):
-    print(f"after swap {step}          : {counts}")
+balanced = rebalance(dealt, scenario.s, trace=trace)
+print(f"shifts moved          : {'yes' if trace else 'none'}")
 print(f"balanced shift counts : {balanced.counts()}")
 
 report = verify_roster(balanced, result.plan, scenario)

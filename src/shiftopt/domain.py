@@ -77,10 +77,11 @@ class Scenario:
     def __post_init__(self):
         if self.T < 1:
             raise ValueError("T must be >= 1")
-        if self.N < 0:
-            raise ValueError("N must be >= 0")
-        if self.s < 1:
-            raise ValueError("s must be >= 1")
+        # counts up to 2**31 - 1 keep s*N and every int64 window bound exact
+        if not 0 <= self.N < 2**31:
+            raise ValueError("N must satisfy 0 <= N <= 2**31 - 1")
+        if not 1 <= self.s < 2**31:
+            raise ValueError("s must satisfy 1 <= s <= 2**31 - 1")
         if not 1 <= self.delta <= self.T:
             raise ValueError("delta must satisfy 1 <= delta <= T")
         if self.beta < 0:
@@ -89,8 +90,8 @@ class Scenario:
             raise ValueError("d_max must be finite and >= 0")
         if not (math.isfinite(self.a) and self.a > 0):
             raise ValueError("a must be finite and > 0")
-        if self.c_veh < 0:
-            raise ValueError("c_veh must be >= 0")
+        if not 0 <= self.c_veh < 2**31:
+            raise ValueError("c_veh must satisfy 0 <= c_veh <= 2**31 - 1")
         if self.demand_model is DemandModel.EXPLICIT:
             if self.demand is None or len(self.demand) != self.T:
                 raise ValueError("explicit demand must have length T")

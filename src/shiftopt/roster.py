@@ -1,17 +1,15 @@
 """Assigns an optimized shift plan to individual drivers.
 
-`greedy_assign` places every shift start on some driver whose previous
-extended shift (shift plus mandatory break) has ended; `rebalance` then
-equalizes shift counts by swapping alternating chains of overlapping extended
-shifts between an over- and an under-loaded driver. Together they realize a
-roster with exactly s shifts per driver and valid breaks for any plan that
-satisfies the total-shift and extended-shift constraints.
+All extended shifts (shift plus mandatory break) have one length, so the
+shifts at positions k and k + n in start order overlap only if n + 1 extended
+shifts are active at once. Dealing the sorted shifts to n drivers in turn (the
+k-th to driver k mod n) is therefore valid whenever z_t <= n, and gives every
+driver the same count up to one.
 """
 
 from __future__ import annotations
 
 import csv
-import heapq
 import io
 from dataclasses import dataclass
 
@@ -66,98 +64,53 @@ def overlap(s1: ExtendedShift, s2: ExtendedShift) -> bool:
     return s1.start < s2.end and s2.start < s1.end
 
 
-def greedy_assign(plan: ShiftPlan, scenario: Scenario) -> Roster:
-    """Assign shift starts in time order to drivers who are available.
+def _deal(shifts: list[ExtendedShift], n: int, violated: str) -> Roster:
+    """Deal equal-length shifts, sorted by start, to n drivers in turn: the
+    k-th to driver k mod n. Raises ValueError at the first shift that overlaps
+    the one dealt n places before it (with n = 0, at the first shift)."""
+    clash = next((b for a, b in zip(shifts, shifts[n:]) if overlap(a, b)), None)
+    if clash is not None:
+        raise ValueError(f"no driver available at step {clash.start}: {violated}")
+    return Roster(assignments=tuple(tuple(shifts[i::n]) for i in range(n)))
 
-    Ties go to the driver with the fewest shifts so far, then the lowest
-    index. Produces valid breaks but possibly unequal shift counts.
+
+def greedy_assign(plan: ShiftPlan, scenario: Scenario) -> Roster:
+    """Deal the plan's shifts in start order to the N drivers in turn.
+
+    This is the greedy that gives each start to the available driver with the
+    fewest shifts, then the lowest index. Every driver gets the same count up
+    to one, so a plan with sum(x) = s*N gives every driver exactly s shifts.
     """
     if scenario.boundary is Boundary.CIRCULAR:
         raise ValueError("rostering is defined for zero-padded plans only")
     if len(plan) != scenario.T:
         raise ValueError(f"plan length {len(plan)} != T={scenario.T}")
     length = scenario.delta + scenario.beta
-    counts = [0] * scenario.N
-    free = [(0, i) for i in range(scenario.N)]  # heap of available (count, driver)
-    busy: list[tuple[int, int]] = []  # heap of (step the driver is free again, driver)
-    assignments: list[list[ExtendedShift]] = [[] for _ in range(scenario.N)]
-    for t in range(1, scenario.T + 1):
-        while busy and busy[0][0] <= t:
-            i = heapq.heappop(busy)[1]
-            heapq.heappush(free, (counts[i], i))
-        for _ in range(int(plan.x[t - 1])):
-            if not free:
-                raise ValueError(
-                    f"no driver available at step {t}: plan violates z_t <= N"
-                )
-            i = heapq.heappop(free)[1]
-            assignments[i].append(ExtendedShift(start=t, end=t + length))
-            heapq.heappush(busy, (t + length, i))
-            counts[i] += 1
-    return Roster(assignments=tuple(tuple(a) for a in assignments))
-
-
-def _components(shifts: list[tuple[ExtendedShift, int]]):
-    """Connected components of the overlap graph, in start order.
-
-    `shifts` holds (shift, owner) pairs; owners alternate within a component
-    because same-owner shifts never overlap.
-    """
-    ordered = sorted(shifts, key=lambda p: (p[0].start, p[1]))
-    components: list[list[tuple[ExtendedShift, int]]] = []
-    for item in ordered:
-        if components and overlap(components[-1][-1][0], item[0]):
-            components[-1].append(item)
-        else:
-            components.append([item])
-    return components
+    # N + 1 starts at one step clash there already; more are never expanded
+    shifts = [ExtendedShift(start=t, end=t + length)
+              for t, c in enumerate(plan.x.tolist(), 1) for _ in range(min(c, scenario.N + 1))]
+    return _deal(shifts, scenario.N, "plan violates z_t <= N")
 
 
 def rebalance(roster: Roster, s: int, trace: list | None = None) -> Roster:
     """Equalize shift counts to exactly s per driver, keeping breaks valid.
 
-    Repeatedly swaps a path of alternating extended shifts between the
-    most-loaded and least-loaded driver; each swap moves one shift of surplus.
-    `trace` (testing hook) receives the per-driver counts after every swap.
+    A roster with s shifts on every driver comes back with each driver's
+    shifts sorted; any other is dealt again over its drivers in start order.
+    `trace` (testing hook) receives the per-driver counts if a shift moved.
     """
-    assignments = [list(a) for a in roster.assignments]
-    lengths = {sh.end - sh.start for a in assignments for sh in a}
-    if len(lengths) > 1:
+    shifts = [sh for a in roster.assignments for sh in a]
+    if len({sh.end - sh.start for sh in shifts}) > 1:
         raise ValueError("extended shifts must all have equal length")
-    while True:
-        counts = [len(a) for a in assignments]
-        over = [i for i, c in enumerate(counts) if c > s]
-        under = [i for i, c in enumerate(counts) if c < s]
-        if not over and not under:
-            break
-        if not over or not under:
-            raise ValueError("total shift count is not s * n_drivers")
-        d1 = max(over, key=lambda i: (counts[i], -i))
-        d2 = min(under, key=lambda i: (counts[i], i))
-        pool = [(sh, 1) for sh in assignments[d1]] + [(sh, 2) for sh in assignments[d2]]
-        swap_path = None
-        for comp in _components(pool):
-            n1 = sum(1 for _, who in comp if who == 1)
-            n2 = len(comp) - n1
-            if n1 - n2 == 1:
-                swap_path = comp
-                break
-        if swap_path is None:
-            raise ValueError(
-                "no rebalancing path found: roster does not satisfy the "
-                "extended-shift constraint"
-            )
-        moved_to_d2 = [sh for sh, who in swap_path if who == 1]
-        moved_to_d1 = [sh for sh, who in swap_path if who == 2]
-        assignments[d1] = sorted(
-            [sh for sh in assignments[d1] if sh not in moved_to_d2] + moved_to_d1
-        )
-        assignments[d2] = sorted(
-            [sh for sh in assignments[d2] if sh not in moved_to_d1] + moved_to_d2
-        )
-        if trace is not None:
-            trace.append([len(a) for a in assignments])
-    return Roster(assignments=tuple(tuple(sorted(a)) for a in assignments))
+    if all(c == s for c in roster.counts()):
+        return Roster(assignments=tuple(tuple(sorted(a)) for a in roster.assignments))
+    if len(shifts) != s * roster.n_drivers:
+        raise ValueError("total shift count is not s * n_drivers")
+    dealt = _deal(sorted(shifts), roster.n_drivers,
+                  "roster does not satisfy the extended-shift constraint")
+    if trace is not None:
+        trace.append(dealt.counts())
+    return dealt
 
 
 def verify_roster(

@@ -283,13 +283,26 @@ class TestConfigErrors:
                                         economic_cost=5e-324)),
             ("compare", _compare_config(scenario=base_scenario(d_max=3.0, a=1e-300, c_veh=2),
                                         economic_cost=1e-305)),
+            # counts above 2**31 - 1, which s*N and the int64 window bounds need
+            ("sweep", {"kind": "sweep_drivers", "scenario": base_scenario(d_max=3.0, c_veh=2),
+                       "sweep_values": [1e20]}),
+            ("sweep", {"kind": "sweep_drivers", "scenario": base_scenario(d_max=3.0, c_veh=2),
+                       "sweep_values": [1e308]}),
+            ("compare", _compare_config(scenario=base_scenario(d_max=3.0, c_veh=2),
+                                        sweep_values=[1e308])),
+            ("plan", {"kind": "plan", "scenario": base_scenario(d_max=3.0, N=10**20,
+                                                                c_veh=10**20)}),
+            ("roster", {"kind": "roster", "scenario": base_scenario(T=6, s=10**20, d_max=3.0,
+                                                                    c_veh=2),
+                        "plan": [1e19, 0, 0, 0, 0, 0]}),
         ],
         ids=["delta-above-T", "text-value", "scalar-values", "zero-work",
              "text-driver-count", "fraction-above-1", "text-cost", "text-per-driver",
              "infinite-T", "fractional-N", "text-T", "fractional-plan", "negative-plan",
              "text-plan", "nested-plan", "null-plan", "huge-plan", "text-scale-c-veh",
              "demand-times-work", "demand-sum", "offset-sinusoid-peak", "tiny-cost",
-             "tiny-a-and-cost"],
+             "tiny-a-and-cost", "sweep-1e20-drivers", "sweep-1e308-drivers",
+             "compare-1e308-drivers", "huge-N", "huge-s"],
     )
     def test_exit_2_with_one_line(self, tmp_path, capsys, command, config):
         code, out = run(tmp_path, command, config)
@@ -299,11 +312,14 @@ class TestConfigErrors:
         assert not out.exists()
 
 
-_JUNK = st.one_of(
+_SMALL_JUNK = st.one_of(
     st.none(), st.booleans(), st.text(max_size=2), st.integers(-2, 6),
     st.floats(-3.0, 6.0),
     st.sampled_from([math.nan, math.inf, -math.inf, 1.5, 0.5, 5e-324, 1e-300]),
 )
+# counts above Scenario's 2**31 - 1 bound; T and beta draw none of them, because
+# they have no such bound and a T or beta that large allocates tens of GB
+_JUNK = st.one_of(_SMALL_JUNK, st.sampled_from([2**31, 10**20, 1e308]))
 _JUNK_OR_LIST = st.one_of(_JUNK, st.lists(_JUNK, max_size=3))
 # an explicit demand for T = 12, with subnormal, tiny and huge entries
 _DEMAND = st.lists(st.one_of(st.sampled_from([0.0, 5e-324, 1e-320, 1e-300, 1e200, 1e308]),
@@ -321,7 +337,8 @@ _FIELDS = {
     "plan": st.one_of(_JUNK_OR_LIST, st.lists(st.integers(0, 3), min_size=12, max_size=12)),
 }
 _SCENARIO_FIELDS = {
-    **{key: _JUNK for key in ("T", "N", "s", "delta", "beta", "d_max", "a", "c_veh")},
+    **{key: _JUNK for key in ("N", "s", "delta", "d_max", "a", "c_veh")},
+    **{key: _SMALL_JUNK for key in ("T", "beta")},
     "demand": _JUNK_OR_LIST,
     "demand_model": st.one_of(_JUNK, st.sampled_from([m.value for m in DemandModel])),
     "boundary": st.one_of(_JUNK, st.sampled_from([b.value for b in Boundary])),

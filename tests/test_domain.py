@@ -72,6 +72,12 @@ class TestScenario:
         with pytest.raises(ValueError, match=field):
             Scenario.from_dict(obj)
 
+    @pytest.mark.parametrize("field", ["N", "s", "c_veh"])
+    def test_counts_bounded_by_int32(self, field):
+        assert getattr(scenario(**{field: 2**31 - 1}), field) == 2**31 - 1
+        with pytest.raises(ValueError, match=field):
+            scenario(**{field: 2**31})
+
     def test_from_dict_accepts_whole_floats(self):
         obj = {**_FIELDS, "T": 8.0, "N": 2.0}
         assert Scenario.from_dict(obj) == scenario()

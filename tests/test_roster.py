@@ -67,14 +67,15 @@ class TestGreedyAssign:
 
 
 class TestGreedyAssignMatchesScan:
-    """The heap-based greedy_assign against the quadratic scan that defines it."""
+    """greedy_assign, which deals shifts in start order, against the quadratic
+    scan that defines the greedy."""
 
     @pytest.mark.parametrize("seed", range(30))
     def test_random_plans(self, seed):
         rng = np.random.default_rng([seed, 7])
         sc = scenario(
             T=int(rng.integers(4, 40)),
-            N=int(rng.integers(1, 12)),
+            N=int(rng.integers(0, 12)),
             delta=int(rng.integers(1, 4)),
             beta=int(rng.integers(0, 4)),
         )
@@ -93,6 +94,39 @@ class TestGreedyAssignMatchesScan:
         roster = greedy_assign(plan, large_fleet_scenario)
         assert roster == greedy_assign_by_scan(plan, large_fleet_scenario)
         assert roster.n_drivers == 400
+
+
+class TestDealtRosterIsBalanced:
+    """A plan with sum(x) = s*N and z_t <= N is dealt with exactly s shifts per
+    driver, so rebalance has nothing to move."""
+
+    @staticmethod
+    def check(plan, sc):
+        roster = greedy_assign(plan, sc)
+        assert roster.counts() == [sc.s] * sc.N
+        trace = []
+        assert rebalance(roster, sc.s, trace=trace) == roster
+        assert trace == []
+
+    def test_random_plans(self):
+        rng = np.random.default_rng(2005)
+        checked = 0
+        for _ in range(200):
+            sc = scenario(
+                T=int(rng.integers(4, 30)),
+                N=int(rng.integers(1, 6)),
+                s=int(rng.integers(1, 4)),
+                delta=int(rng.integers(1, 4)),
+                beta=int(rng.integers(0, 3)),
+            )
+            plan = sample_feasible_plan(sc, rng, tries=50)
+            if plan is not None:
+                self.check(plan, sc)
+                checked += 1
+        assert checked >= 100
+
+    def test_large_fleet_plan(self, large_fleet_scenario, large_fleet_result):
+        self.check(large_fleet_result.plan, large_fleet_scenario)
 
 
 class TestRebalance:
@@ -118,8 +152,8 @@ class TestRebalance:
         assert moved == {ExtendedShift(0, 3), ExtendedShift(6, 9)}
 
     def test_swap_moves_chain_not_overlapping_shift(self):
-        # D1 has 2 shifts, D2 has 0 after a manual edit is impossible with
-        # overlaps, so use 3-vs-1: the swapped path must keep breaks valid
+        # 3-vs-1 with overlapping shifts across drivers: the shifts dealt
+        # again must keep breaks valid
         roster = Roster(
             assignments=(
                 (ExtendedShift(0, 4), ExtendedShift(5, 9), ExtendedShift(12, 16)),
@@ -132,6 +166,24 @@ class TestRebalance:
             ordered = sorted(a)
             for s1, s2 in zip(ordered, ordered[1:]):
                 assert not overlap(s1, s2)
+
+    def test_imbalance_four_dealt_at_once(self):
+        shifts = (ExtendedShift(0, 3), ExtendedShift(3, 6), ExtendedShift(6, 9),
+                  ExtendedShift(9, 12))
+        trace = []
+        out = rebalance(Roster(assignments=(shifts, ())), 2, trace=trace)
+        assert out.counts() == [2, 2]
+        for a in out.assignments:
+            assert not overlap(*a)
+        assert trace == [[2, 2]]
+
+    def test_overlapping_roster_rejected(self):
+        roster = Roster(assignments=(
+            (ExtendedShift(0, 3), ExtendedShift(1, 4), ExtendedShift(2, 5), ExtendedShift(6, 9)),
+            (),
+        ))
+        with pytest.raises(ValueError, match="extended-shift constraint"):
+            rebalance(roster, 2)
 
     def test_mixed_lengths_rejected(self):
         roster = Roster(

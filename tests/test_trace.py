@@ -56,3 +56,5 @@ def test_tracer_wraps_every_target_and_counts(tmp_path):
                  "export.bytes", "cli.files_written"):
         assert counts[name] > 0, name
     assert counts["roster.drivers"] == sc.N
+    # greedy_assign already balances a plan, so rebalance moves no shift
+    assert "roster.swaps" in counts and counts["roster.swaps"] == 0
