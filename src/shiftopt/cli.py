@@ -235,9 +235,6 @@ def _cmd_compare(config: dict) -> dict[str, str]:
     robust_rows = []
     for n in (int(v) for v in values):
         scenario = _with_drivers(config["_scenario"], n, per_driver)
-        if scenario.N == 0 or not demand_vector(scenario).any():
-            rows.append([n, 1.0, 1.0, 1.0])
-            continue
         opt = benchmark.agnostic_optimum_closed_form(scenario)
         results = [planner.plan(scenario)]
         try:  # a standard whose desired supply has no float64 square is rejected

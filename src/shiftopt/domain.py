@@ -154,6 +154,8 @@ class ShiftPlan:
             raise ValueError("shift counts must be non-negative")
         if not np.issubdtype(x.dtype, np.integer):
             rounded = np.rint(x)
+            if not np.all(rounded < 2.0**63):  # false for nan and inf too
+                raise ValueError("shift counts must be finite and fit in int64")
             if np.any(np.abs(x - rounded) > 1e-6):
                 raise ValueError("shift counts must be integral")
             x = rounded.astype(np.int64)

@@ -8,9 +8,10 @@ envelope: every piece becomes a segment column u in [0, width] with the
 piece's slope as gain, and y_t is the sum of its step's segments. With x,
 y and z tied by window sums, the constraint matrix is totally unimodular, so
 every LP solve yields an integral optimum. `plan` and `plan_baseline` solve
-on per-step windows of the envelope, refined from coarse to fine until the
-optimum certifies itself for the full program (proximity scaling for
-separable concave objectives; Hochbaum 1994, Math. OR 19(2)).
+a coarse envelope, then per-step windows of the fine one around its optimum
+(proximity scaling for separable concave objectives; Hochbaum 1994, Math. OR
+19(2)), and the full program only when the windowed optimum does not
+certify itself.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ class PlanResult:
     mip_objective: float  # chord envelopes at the plan's supply: reward, or total sq. deviation
     true_reward: float
     solve_status: SolveStatus
-    nodes: int  # LP rounds: 1 when y_max <= 64
+    nodes: int  # LP rounds: 1 when y_max <= 64, else 2, or 3 when the windows do not certify
 
 
 def _segment_model(scenario: Scenario, env: Envelopes) -> MilpModel:
@@ -152,40 +153,36 @@ def build_deviation_mip(scenario: Scenario, desired: np.ndarray) -> MilpModel:
 
 
 def _solve(scenario: Scenario, envelopes: Callable[..., Envelopes], *params) -> PlanResult:
-    """Optimum of the full program, solved on windows refined from coarse to fine.
+    """Optimum of the full program, in at most three LP rounds.
 
     `envelopes(*params, lo, hi, stride)` builds every step's envelope. Round
     1 spans every step's [0, y_max] with breakpoints `stride` apart; with
-    y_max <= _COARSE_PIECES that is the full program. Later rounds use
-    every integer of a window around the last supply, and widen a window side
-    (each time twice as far as before) while the supply sits on it. The last
-    round has no supply on a window side other than 0 or y_max: its windowed
-    objective equals the full envelope on a neighbourhood of its optimum, so
-    by concavity that optimum is also optimal for the full program.
+    y_max <= _COARSE_PIECES that is the full program. Round 2 uses every
+    integer of a window around round 1's supply. If its supply sits on no
+    window side other than 0 or y_max, its windowed objective equals the full
+    envelope on a neighbourhood of its optimum, so by concavity that optimum
+    is also optimal for the full program. Otherwise round 3 solves the full
+    program.
     """
     T, y_max = scenario.T, _y_max(scenario)
     stride = -(-y_max // _COARSE_PIECES)
-    lo, hi = np.zeros(T, dtype=np.int64), np.full(T, y_max)
-    env = envelopes(*params, lo, hi, stride)
-    reach_lo, reach_hi = np.full(T, _REACH * stride), np.full(T, _REACH * stride)
-    rounds = 0
-    while True:
+
+    def solve(lo, hi, stride=1):
+        env = envelopes(*params, lo, hi, stride)
         sol = milp_solve(_segment_model(scenario, env))
-        rounds += 1
         if sol.status is SolveStatus.INFEASIBLE:
             raise PlanningError(sol.status, f"no plan: solver status {sol.status.value}")
-        y = sol.values[T : 2 * T].astype(np.int64)
-        if rounds == 1 and stride > 1:
-            lo, hi = np.maximum(y - reach_lo, 0), np.minimum(y + reach_hi, y_max)
-        else:
-            low, high = (y == lo) & (lo > 0), (y == hi) & (hi < y_max)
-            if not (low.any() or high.any()):
-                break
-            reach_lo[low] *= 2
-            reach_hi[high] *= 2
-            lo[low] = np.maximum(lo[low] - reach_lo[low], 0)
-            hi[high] = np.minimum(hi[high] + reach_hi[high], y_max)
-        env = envelopes(*params, lo, hi)
+        return env, sol, sol.values[T : 2 * T].astype(np.int64)
+
+    env, sol, y = solve(0, y_max, stride)
+    rounds = 1
+    if stride > 1:
+        lo, hi = np.maximum(y - _REACH * stride, 0), np.minimum(y + _REACH * stride, y_max)
+        env, sol, y = solve(lo, hi)
+        rounds = 2
+        if np.any(((y == lo) & (lo > 0)) | ((y == hi) & (hi < y_max))):
+            env, sol, y = solve(0, y_max)
+            rounds = 3
     plan_vec = ShiftPlan(x=sol.values[:T].astype(np.int64))
     return PlanResult(
         plan=plan_vec,

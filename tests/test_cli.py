@@ -203,6 +203,8 @@ class TestCompareCommand:
         assert code == EXIT_OK
         _, rows = read_csv(str(out / "compare.csv"))
         assert rows[0][1:] == [1.0, 1.0, 1.0]
+        _, robust = read_csv(str(out / "robustness.csv"))
+        assert [row[2:] for row in robust] == [[0, 1.0]] * 6
 
     def test_explicit_demand_ignores_d_max(self, tmp_path):
         """Explicit demand with d_max 0 is planned, not skipped as all-zero demand."""

@@ -196,6 +196,18 @@ class TestReward:
                 assert all(b >= a_ - 1e-12 for a_, b in zip(vals, vals[1:]))
 
 
+class TestShiftPlan:
+    @pytest.mark.parametrize("x", [[np.nan, 1.0], [np.inf, 0.0], [1e30, 0.0], [2.0**63, 0.0]])
+    def test_non_finite_or_oversized_counts_rejected_without_warning(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                ShiftPlan(x=np.array(x))
+
+    def test_largest_float_below_int64_limit_accepted(self):
+        assert ShiftPlan(x=np.array([2.0**63 - 1024])).x.tolist() == [2**63 - 1024]
+
+
 class TestSupplyCurve:
     def test_zero_padded(self):
         sc = scenario(T=4, delta=2, beta=0)
