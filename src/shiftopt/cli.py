@@ -34,14 +34,14 @@ EXIT_IO = 4
 EXIT_VERIFICATION = 5
 
 _SWEEP_KINDS = ("sweep_drivers", "sweep_shifts_per_driver", "sweep_shift_length")
-_KINDS = ("plan", "compare_baselines", "roster") + _SWEEP_KINDS
 
 
 class ConfigError(Exception):
     pass
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, command: str, kinds: tuple[str, ...]) -> dict:
+    """The config at path, with its Scenario, if its kind is one that command takes."""
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -50,8 +50,8 @@ def _load_config(path: str) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
     kind = obj.get("kind")
-    if kind not in _KINDS:
-        raise ConfigError(f"kind must be one of {_KINDS}, got {kind!r}")
+    if kind not in kinds:
+        raise ConfigError(f"kind must be one of {', '.join(kinds)} for {command}, got {kind!r}")
     if "scenario" not in obj:
         raise ConfigError("config is missing the scenario object")
     try:
@@ -281,20 +281,13 @@ class RosterFailure(Exception):
     pass
 
 
+# command: (handler, the config kinds it accepts)
 _COMMANDS = {
-    "plan": _cmd_plan,
-    "sweep": _cmd_sweep,
-    "compare": _cmd_compare,
-    "roster": _cmd_roster,
-    "export-lp": _cmd_export_lp,
-}
-
-_KIND_FOR_COMMAND = {
-    "plan": ("plan",),
-    "sweep": _SWEEP_KINDS,
-    "compare": ("compare_baselines",),
-    "roster": ("roster",),
-    "export-lp": ("plan", "roster") + _SWEEP_KINDS,
+    "plan": (_cmd_plan, ("plan",)),
+    "sweep": (_cmd_sweep, _SWEEP_KINDS),
+    "compare": (_cmd_compare, ("compare_baselines",)),
+    "roster": (_cmd_roster, ("roster",)),
+    "export-lp": (_cmd_export_lp, ("plan", "roster") + _SWEEP_KINDS),
 }
 
 
@@ -313,14 +306,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    handler, kinds = _COMMANDS[args.command]
     try:
-        config = _load_config(args.config)
-        if config["kind"] not in _KIND_FOR_COMMAND[args.command]:
-            raise ConfigError(
-                f"config kind {config['kind']!r} does not match command {args.command!r}"
-            )
-        files = _COMMANDS[args.command](config)
-        _write_all(args.out, files)
+        _write_all(args.out, handler(_load_config(args.config, args.command, kinds)))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

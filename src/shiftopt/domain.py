@@ -43,6 +43,12 @@ class Boundary(enum.Enum):
     CIRCULAR = "circular"
 
 
+# (field, least, most) of every count but delta: up to 2**31 - 1 keeps s*N and
+# every int64 window bound exact, and T up to 2**20 keeps per-step arrays small
+_COUNT_BOUNDS = (("T", 1, 2**20), ("N", 0, 2**31 - 1), ("s", 1, 2**31 - 1),
+                 ("beta", 0, 2**31 - 1), ("c_veh", 0, 2**31 - 1))
+
+
 @dataclass(frozen=True)
 class Scenario:
     """All model parameters for one planning instance.
@@ -75,23 +81,15 @@ class Scenario:
     boundary: Boundary = Boundary.ZERO_PADDED
 
     def __post_init__(self):
-        if self.T < 1:
-            raise ValueError("T must be >= 1")
-        # counts up to 2**31 - 1 keep s*N and every int64 window bound exact
-        if not 0 <= self.N < 2**31:
-            raise ValueError("N must satisfy 0 <= N <= 2**31 - 1")
-        if not 1 <= self.s < 2**31:
-            raise ValueError("s must satisfy 1 <= s <= 2**31 - 1")
+        for field, least, most in _COUNT_BOUNDS:
+            if not least <= getattr(self, field) <= most:
+                raise ValueError(f"{field} must satisfy {least} <= {field} <= {most}")
         if not 1 <= self.delta <= self.T:
             raise ValueError("delta must satisfy 1 <= delta <= T")
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
         if not (math.isfinite(self.d_max) and self.d_max >= 0):
             raise ValueError("d_max must be finite and >= 0")
         if not (math.isfinite(self.a) and self.a > 0):
             raise ValueError("a must be finite and > 0")
-        if not 0 <= self.c_veh < 2**31:
-            raise ValueError("c_veh must satisfy 0 <= c_veh <= 2**31 - 1")
         if self.demand_model is DemandModel.EXPLICIT:
             if self.demand is None or len(self.demand) != self.T:
                 raise ValueError("explicit demand must have length T")
@@ -148,21 +146,17 @@ class ShiftPlan:
 
     def __post_init__(self):
         x = np.asarray(self.x)
-        if x.ndim != 1:
-            raise ValueError("shift plan must be a 1-D vector")
-        if np.any(x < 0):
-            raise ValueError("shift counts must be non-negative")
-        if not np.issubdtype(x.dtype, np.integer):
-            rounded = np.rint(x)
-            if not np.all(rounded < 2.0**63):  # false for nan and inf too
-                raise ValueError("shift counts must be finite and fit in int64")
-            if np.any(np.abs(x - rounded) > 1e-6):
-                raise ValueError("shift counts must be integral")
-            x = rounded.astype(np.int64)
-        else:
-            x = x.astype(np.int64)
-        x.setflags(write=False)
-        object.__setattr__(self, "x", x)
+        if x.ndim != 1 or x.dtype.kind not in "buif":
+            raise ValueError("shift plan must be a 1-D vector of numbers")
+        near = np.round(x)  # integer dtypes keep their exact values
+        with np.errstate(invalid="ignore"):  # nan, inf and entries past int64 change here
+            counts = near.astype(np.int64)
+        if not np.all((x >= 0) & (counts == near)):
+            raise ValueError("shift counts must be non-negative, finite and fit in int64")
+        if np.any(np.abs(x - near) > 1e-6):
+            raise ValueError("shift counts must be integral")
+        counts.setflags(write=False)
+        object.__setattr__(self, "x", counts)
 
     def __len__(self) -> int:
         return len(self.x)
@@ -237,8 +231,11 @@ def window_indices(scenario: Scenario, width: int) -> tuple[np.ndarray, np.ndarr
     """Row t and column tau of every unit entry of the T x T window matrix W:
     (W @ x)[t] sums the starts x[t-width+1 .. t], with indices below 0 dropped
     (zero-padded) or wrapped (circular). A circular window wider than T holds
-    a start twice: its (t, tau) pair repeats, and entries add up."""
+    a start twice: its (t, tau) pair repeats, and entries add up. A zero-padded
+    window wider than T holds what one of width T holds."""
     T = scenario.T
+    if scenario.boundary is Boundary.ZERO_PADDED:
+        width = min(width, T)
     t = np.repeat(np.arange(T), width)
     tau = t - np.tile(np.arange(width), T)
     if scenario.boundary is Boundary.CIRCULAR:

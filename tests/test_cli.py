@@ -106,6 +106,12 @@ class TestPlanCommand:
         assert code == EXIT_INFEASIBLE
         assert not (out / "summary.json").exists()
 
+    def test_failed_write_exit_4_leaves_no_temp_file(self, tmp_path):
+        (tmp_path / "out" / "plan.csv").mkdir(parents=True)
+        code, out = run(tmp_path, "plan", {"kind": "plan", "scenario": base_scenario()})
+        assert code == EXIT_IO
+        assert [p.name for p in out.iterdir()] == ["plan.csv"]
+
     def test_round_trip_csv(self, tmp_path):
         code, out = run(tmp_path, "plan", {"kind": "plan", "scenario": base_scenario()})
         assert code == EXIT_OK
@@ -297,6 +303,15 @@ class TestConfigErrors:
             ("roster", {"kind": "roster", "scenario": base_scenario(T=6, s=10**20, d_max=3.0,
                                                                     c_veh=2),
                         "plan": [1e19, 0, 0, 0, 0, 0]}),
+            # a horizon or break past Scenario's bounds: each allocated or overflowed
+            ("plan", {"kind": "plan", "scenario": base_scenario(beta=10**20)}),
+            ("plan", {"kind": "plan", "scenario": base_scenario(beta=2**31)}),
+            ("plan", {"kind": "plan", "scenario": base_scenario(T=2**31)}),
+            ("plan", {"kind": "plan", "scenario": base_scenario(T=2**20 + 1)}),
+            # a config that is not an object, has no scenario, or a plan not of length T
+            ("plan", [1, 2]),
+            ("plan", {"kind": "plan"}),
+            ("roster", _roster_config([0] * 5)),
         ],
         ids=["delta-above-T", "text-value", "scalar-values", "zero-work",
              "text-driver-count", "fraction-above-1", "text-cost", "text-per-driver",
@@ -304,7 +319,8 @@ class TestConfigErrors:
              "text-plan", "nested-plan", "null-plan", "huge-plan", "text-scale-c-veh",
              "demand-times-work", "demand-sum", "offset-sinusoid-peak", "tiny-cost",
              "tiny-a-and-cost", "sweep-1e20-drivers", "sweep-1e308-drivers",
-             "compare-1e308-drivers", "huge-N", "huge-s"],
+             "compare-1e308-drivers", "huge-N", "huge-s", "huge-beta", "beta-2**31",
+             "T-2**31", "T-2**20+1", "not-an-object", "no-scenario", "short-plan"],
     )
     def test_exit_2_with_one_line(self, tmp_path, capsys, command, config):
         code, out = run(tmp_path, command, config)
@@ -313,15 +329,22 @@ class TestConfigErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", [None, "plot", "plan"])
+    def test_kind_checked_before_scenario(self, tmp_path, capsys, kind):
+        config = {"scenario": {"T": "not a number"}} | ({} if kind is None else {"kind": kind})
+        assert run(tmp_path, "sweep", config)[0] == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert all(k in err for k in ("sweep_drivers", "sweep_shifts_per_driver",
+                                      "sweep_shift_length"))
 
-_SMALL_JUNK = st.one_of(
+
+_JUNK = st.one_of(
     st.none(), st.booleans(), st.text(max_size=2), st.integers(-2, 6),
     st.floats(-3.0, 6.0),
-    st.sampled_from([math.nan, math.inf, -math.inf, 1.5, 0.5, 5e-324, 1e-300]),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1.5, 0.5, 5e-324, 1e-300,
+                     2**31, 10**20, 1e308]),
 )
-# counts above Scenario's 2**31 - 1 bound; T and beta draw none of them, because
-# they have no such bound and a T or beta that large allocates tens of GB
-_JUNK = st.one_of(_SMALL_JUNK, st.sampled_from([2**31, 10**20, 1e308]))
 _JUNK_OR_LIST = st.one_of(_JUNK, st.lists(_JUNK, max_size=3))
 # an explicit demand for T = 12, with subnormal, tiny and huge entries
 _DEMAND = st.lists(st.one_of(st.sampled_from([0.0, 5e-324, 1e-320, 1e-300, 1e200, 1e308]),
@@ -339,8 +362,7 @@ _FIELDS = {
     "plan": st.one_of(_JUNK_OR_LIST, st.lists(st.integers(0, 3), min_size=12, max_size=12)),
 }
 _SCENARIO_FIELDS = {
-    **{key: _JUNK for key in ("N", "s", "delta", "d_max", "a", "c_veh")},
-    **{key: _SMALL_JUNK for key in ("T", "beta")},
+    **{key: _JUNK for key in ("T", "N", "s", "delta", "beta", "d_max", "a", "c_veh")},
     "demand": _JUNK_OR_LIST,
     "demand_model": st.one_of(_JUNK, st.sampled_from([m.value for m in DemandModel])),
     "boundary": st.one_of(_JUNK, st.sampled_from([b.value for b in Boundary])),

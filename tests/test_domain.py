@@ -72,11 +72,12 @@ class TestScenario:
         with pytest.raises(ValueError, match=field):
             Scenario.from_dict(obj)
 
-    @pytest.mark.parametrize("field", ["N", "s", "c_veh"])
+    @pytest.mark.parametrize("field", ["T", "N", "s", "beta", "c_veh"])
     def test_counts_bounded_by_int32(self, field):
-        assert getattr(scenario(**{field: 2**31 - 1}), field) == 2**31 - 1
+        most = 2**20 if field == "T" else 2**31 - 1
+        assert getattr(scenario(**{field: most}), field) == most
         with pytest.raises(ValueError, match=field):
-            scenario(**{field: 2**31})
+            scenario(**{field: most + 1})
 
     def test_from_dict_accepts_whole_floats(self):
         obj = {**_FIELDS, "T": 8.0, "N": 2.0}
@@ -197,7 +198,8 @@ class TestReward:
 
 
 class TestShiftPlan:
-    @pytest.mark.parametrize("x", [[np.nan, 1.0], [np.inf, 0.0], [1e30, 0.0], [2.0**63, 0.0]])
+    @pytest.mark.parametrize("x", [[np.nan, 1.0], [np.inf, 0.0], [1e30, 0.0], [2.0**63, 0.0],
+                                   np.array([2**64 - 1, 0], dtype=np.uint64)])
     def test_non_finite_or_oversized_counts_rejected_without_warning(self, x):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -206,6 +208,17 @@ class TestShiftPlan:
 
     def test_largest_float_below_int64_limit_accepted(self):
         assert ShiftPlan(x=np.array([2.0**63 - 1024])).x.tolist() == [2**63 - 1024]
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_largest_int64_count_kept_exactly(self, dtype):
+        assert ShiftPlan(x=np.array([2**63 - 1, 0], dtype=dtype)).x[0] == 2**63 - 1
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int32, np.uint64, np.float16,
+                                       np.float32, np.longdouble])
+    def test_every_numeric_dtype_cast_without_warning(self, dtype):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ShiftPlan(x=np.array([1, 0], dtype=dtype)).x.tolist() == [1, 0]
 
 
 class TestSupplyCurve:

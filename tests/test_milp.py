@@ -229,6 +229,14 @@ class TestExportLp:
                     plan_baseline(sc, standard).mip_objective, rel=1e-9
                 )
 
+    def test_zero_demand_objective_reads_back(self):
+        sc = Scenario(T=6, N=2, s=1, delta=2, beta=1, d_max=0.0, a=2.0, c_veh=2)
+        text = export_lp(build_reward_mip(sc))
+        assert " obj: 0 x_1" in text.splitlines()
+        parsed = parse_lp(text)
+        values = solve_parsed_lp(parsed)
+        assert sum(c * values[n] for n, c in parsed["objective"].items()) == 0.0
+
     def test_numbers_have_12_significant_digits(self):
         m = model([1.0 / 3.0], [0.0], [1.0], names=["x"])
         assert "0.333333333333 x" in export_lp(m)

@@ -155,6 +155,13 @@ class TestPlan:
                 result = plan(sc)
                 assert result.true_reward == pytest.approx(oracle, abs=1e-6)
 
+    def test_break_past_horizon_plans_as_one_ending_at_it(self):
+        # a zero-padded window wider than T holds the same starts as one of width T
+        far, near = (plan(Scenario(T=24, N=3, s=1, delta=4, beta=beta, d_max=6.0, a=1.5,
+                                   c_veh=3)) for beta in (2**31 - 1, 24 - 4))
+        assert far.plan.x.tolist() == near.plan.x.tolist()
+        assert far.true_reward == near.true_reward
+
     def test_one_lp_solve_per_plan(self, monkeypatch):
         calls = []
         real = milp.linprog

@@ -227,6 +227,13 @@ class TestVerifyRoster:
         assert not report.ok
         assert any("multiset" in v for v in report.violations)
 
+    def test_detects_more_drivers_than_available(self):
+        sc = scenario(N=1, s=1, T=8)
+        plan = ShiftPlan(x=np.array([1, 0, 0, 1, 0, 0, 0, 0]))
+        roster = Roster(assignments=((ExtendedShift(1, 4),), (ExtendedShift(4, 7),)))
+        report = verify_roster(roster, plan, sc)
+        assert report.violations == ("more drivers than available",)
+
     def test_detects_wrong_count(self):
         sc = scenario(N=2, s=1, T=8)
         plan = ShiftPlan(x=np.array([1, 0, 0, 1, 0, 0, 0, 0]))
