@@ -227,20 +227,23 @@ def reward_vector(y, d, a: float) -> np.ndarray:
     return out
 
 
-def window_indices(scenario: Scenario, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row t and column tau of every unit entry of the T x T window matrix W:
-    (W @ x)[t] sums the starts x[t-width+1 .. t], with indices below 0 dropped
-    (zero-padded) or wrapped (circular). A circular window wider than T holds
-    a start twice: its (t, tau) pair repeats, and entries add up. A zero-padded
-    window wider than T holds what one of width T holds."""
+def window_indices(scenario: Scenario, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row t, column tau and count n of every nonzero entry of the T x T window
+    matrix W: (W @ x)[t] sums the starts x[t-width+1 .. t], with indices below
+    0 dropped (zero-padded) or wrapped (circular). A circular window of width
+    qT + r holds every start q times and its last r starts once more; a
+    zero-padded window wider than T holds what one of width T holds. Counts
+    are float64, so n * x cannot wrap."""
     T = scenario.T
-    if scenario.boundary is Boundary.ZERO_PADDED:
-        width = min(width, T)
-    t = np.repeat(np.arange(T), width)
-    tau = t - np.tile(np.arange(width), T)
+    lags = min(width, T)
+    t = np.repeat(np.arange(T), lags)
+    lag = np.tile(np.arange(lags), T)
+    tau = t - lag
     if scenario.boundary is Boundary.CIRCULAR:
-        return t, tau % T
-    return t[tau >= 0], tau[tau >= 0]
+        q, r = divmod(width, T)
+        return t, tau % T, q + (lag < r).astype(float)
+    keep = tau >= 0
+    return t[keep], tau[keep], np.ones(np.count_nonzero(keep))
 
 
 def supply_curve(plan: ShiftPlan, scenario: Scenario) -> SupplyCurve:
@@ -249,8 +252,8 @@ def supply_curve(plan: ShiftPlan, scenario: Scenario) -> SupplyCurve:
         raise ValueError(f"plan length {len(plan)} != T={scenario.T}")
 
     def window_sum(width: int) -> np.ndarray:
-        t, tau = window_indices(scenario, width)
-        return np.bincount(t, plan.x[tau], scenario.T).astype(np.int64)
+        t, tau, n = window_indices(scenario, width)
+        return np.bincount(t, plan.x[tau] * n, scenario.T).astype(np.int64)
 
     return SupplyCurve(y=window_sum(scenario.delta), z=window_sum(scenario.delta + scenario.beta))
 

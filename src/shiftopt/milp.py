@@ -1,11 +1,11 @@
 """Integer linear models solved as one exact LP, and LP export.
 
-Models are stated in maximization form with every column bounded. The
-planner's models have a totally unimodular constraint matrix and integral
-bounds and right-hand sides, so every basic optimum of the LP relaxation is
-integral (Hochbaum & Shanthikumar 1990, J. ACM 37(4)). `milp_solve`
-therefore solves the relaxation once with HiGHS and checks the optimum for
-integrality instead of branching.
+A model is the planner's LP form: maximize over bounded columns subject to
+equality rows only. The planner's models have a totally unimodular
+constraint matrix and integral bounds and right-hand sides, so every basic
+optimum of the LP relaxation is integral (Hochbaum & Shanthikumar 1990,
+J. ACM 37(4)). `milp_solve` therefore solves the relaxation once with HiGHS
+and checks the optimum for integrality instead of branching.
 """
 
 from __future__ import annotations
@@ -38,32 +38,19 @@ class SolveStatus(enum.Enum):
     INFEASIBLE = "infeasible"
 
 
-def _rows(A, b, n: int) -> tuple[csc_matrix, np.ndarray]:
-    if A is None:
-        return csc_matrix((0, n)), np.zeros(0)
-    A = csc_matrix(A, dtype=float)  # columns, as HiGHS takes them
-    A.sum_duplicates()  # canonical: one sorted entry per (row, column)
-    b = np.asarray(b, dtype=float)
-    if A.shape[1] != n or b.shape != (A.shape[0],):
-        raise ValueError("row matrix and right-hand side do not match the columns")
-    return A, b
-
-
 @dataclass(frozen=True)
 class MilpModel:
-    """max objective·v + constant  s.t.  A_ub v <= b_ub, A_eq v = b_eq,
-    lower <= v <= upper, with v_j integral where is_integer[j]. `names`, one
-    per column, are only read by `export_lp`."""
+    """max objective·v + constant  s.t.  A_eq v = b_eq, lower <= v <= upper,
+    with v_j integral where is_integer[j]. A model without rows has a 0 x n
+    A_eq. `names`, one per column, are only read by `export_lp`."""
 
     objective: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     is_integer: np.ndarray
+    A_eq: csc_matrix
+    b_eq: np.ndarray
     names: list[str] | None = None
-    A_ub: csc_matrix | None = None
-    b_ub: np.ndarray | None = None
-    A_eq: csc_matrix | None = None
-    b_eq: np.ndarray | None = None
     constant: float = 0.0
 
     def __post_init__(self):
@@ -78,10 +65,13 @@ class MilpModel:
         object.__setattr__(self, "is_integer", np.asarray(self.is_integer, dtype=bool))
         if self.is_integer.shape != (n,) or (self.names is not None and len(self.names) != n):
             raise ValueError("is_integer and names must have one entry per column")
-        for kind in ("ub", "eq"):
-            A, b = _rows(getattr(self, f"A_{kind}"), getattr(self, f"b_{kind}"), n)
-            object.__setattr__(self, f"A_{kind}", A)
-            object.__setattr__(self, f"b_{kind}", b)
+        A = csc_matrix(self.A_eq, dtype=float)  # columns, as HiGHS takes them
+        A.sum_duplicates()  # canonical: one sorted entry per (row, column)
+        b = np.asarray(self.b_eq, dtype=float)
+        if A.shape[1] != n or b.shape != (A.shape[0],):
+            raise ValueError("A_eq and b_eq do not match the columns")
+        object.__setattr__(self, "A_eq", A)
+        object.__setattr__(self, "b_eq", b)
 
     @property
     def n_vars(self) -> int:
@@ -98,13 +88,10 @@ class MilpSolution:
 
 def lp_solve(model: MilpModel) -> MilpSolution:
     """Solve the LP relaxation (integrality ignored) with one HiGHS call."""
-    has_ub = model.A_ub.shape[0] > 0
     # HiGHS presolve costs more than it saves on the planner's models, whose
     # rows are already tight: without it their LPs solve about 15-30% faster
     res = linprog(
         -model.objective,
-        A_ub=model.A_ub if has_ub else None,
-        b_ub=model.b_ub if has_ub else None,
         A_eq=model.A_eq,
         b_eq=model.b_eq,
         bounds=np.column_stack([model.lower, model.upper]),
@@ -180,16 +167,12 @@ def export_lp(model: MilpModel) -> str:
         expr = f"0 {names[0]}"
     lines.append(f" obj: {expr}".rstrip())
     lines.append("Subject To")
-    i = 0
-    for A, b, sense in ((model.A_ub, model.b_ub, "<="), (model.A_eq, model.b_eq, "=")):
-        A = A.tocsr()
-        for k in range(A.shape[0]):
-            row = slice(A.indptr[k], A.indptr[k + 1])
-            expr = _linear_expr(A.indices[row], A.data[row], names)
-            if not expr:
-                expr = "0 " + (names[0] if names else "x")
-            lines.append(f" c{i}: {expr} {sense} {_num(b[k])}")
-            i += 1
+    A = model.A_eq.tocsr()
+    empty_row = "0 " + (names[0] if names else "x")  # a row needs at least one term
+    for k in range(A.shape[0]):
+        row = slice(A.indptr[k], A.indptr[k + 1])
+        expr = _linear_expr(A.indices[row], A.data[row], names) or empty_row
+        lines.append(f" c{k}: {expr} = {_num(model.b_eq[k])}")
     lines.append("Bounds")
     for j in range(model.n_vars):
         lines.append(f" {_num(model.lower[j])} <= {names[j]} <= {_num(model.upper[j])}")

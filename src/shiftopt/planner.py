@@ -97,14 +97,14 @@ def _segment_model(scenario: Scenario, env: Envelopes) -> MilpModel:
     # rows: y_t and z_t as window sums of x, the sum of x, y_t minus its segments;
     # columns: x, y, z, u
     t = np.arange(T)
-    y_rows, y_cols = window_indices(scenario, scenario.delta)
-    z_rows, z_cols = window_indices(scenario, scenario.delta + scenario.beta)
+    y_rows, y_cols, y_n = window_indices(scenario, scenario.delta)
+    z_rows, z_cols, z_n = window_indices(scenario, scenario.delta + scenario.beta)
     rows = np.concatenate([y_rows, t, T + z_rows, T + t, np.full(T, 2 * T),
                            2 * T + 1 + t, 2 * T + 1 + env.step])
     cols = np.concatenate([y_cols, T + t, z_cols, 2 * T + t, t,
                            T + t, 3 * T + np.arange(n_seg)])
-    data = np.repeat([1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0],
-                     [len(y_rows), T, len(z_rows), T, T, T, n_seg])
+    data = np.concatenate([y_n, np.full(T, -1.0), z_n,
+                           np.repeat([-1.0, 1.0, 1.0, -1.0], [T, T, T, n_seg])])
     A_eq = sparse.csc_matrix((data, (rows, cols)), shape=(3 * T + 1, 3 * T + n_seg))
     b_eq = np.concatenate([np.zeros(2 * T), [scenario.total_shifts], lo])
     return MilpModel(

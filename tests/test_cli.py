@@ -106,6 +106,14 @@ class TestPlanCommand:
         assert code == EXIT_INFEASIBLE
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("N, want", [(2, EXIT_INFEASIBLE), (0, EXIT_OK)])
+    def test_circular_break_of_2_31_plans(self, tmp_path, capsys, N, want):
+        # each extended window wraps the horizon ~1.8e8 times: one entry per start, not per lap
+        sc = base_scenario(N=N, beta=2**31 - 1, boundary="circular")
+        code, _ = run(tmp_path, "plan", {"kind": "plan", "scenario": sc})
+        assert code == want
+        assert capsys.readouterr().err.count("\n") == (1 if want else 0)
+
     def test_failed_write_exit_4_leaves_no_temp_file(self, tmp_path):
         (tmp_path / "out" / "plan.csv").mkdir(parents=True)
         code, out = run(tmp_path, "plan", {"kind": "plan", "scenario": base_scenario()})

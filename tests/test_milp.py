@@ -27,36 +27,56 @@ from shiftopt.planner import EconomicStandard, ServiceStandard
 from oracles import parse_lp, solve_parsed_lp
 
 
-def model(obj, lb, ub, integer=None, names=None, **rows):
-    """A model over len(obj) columns; A_ub/A_eq are given as dense lists of rows."""
+def model(obj, lb, ub, integer=None, names=None, A_eq=None, b_eq=(), constant=0.0):
+    """A model over len(obj) columns; A_eq is given as a dense list of rows,
+    and a model without rows gets an empty 0 x n A_eq."""
     n = len(obj)
-    for k in ("A_ub", "A_eq"):
-        if k in rows:
-            rows[k] = np.asarray(rows[k], dtype=float).reshape(-1, n)
     return MilpModel(
         objective=obj,
         lower=lb,
         upper=ub,
         is_integer=[False] * n if integer is None else integer,
+        A_eq=np.zeros((0, n)) if A_eq is None else np.asarray(A_eq, dtype=float).reshape(-1, n),
+        b_eq=b_eq,
         names=names,
-        **rows,
+        constant=constant,
+    )
+
+
+def slack_model(obj, lb, ub, integer=None, A_ub=(), b_ub=(), A_eq=(), b_eq=(), constant=0.0):
+    """max obj·v s.t. A_ub v <= b_ub, A_eq v = b_eq in equality form: each
+    inequality row gains its own integer slack column, with no gain, bounded
+    by [0, b_i - min of row i over the box]. Appending identity columns keeps
+    an interval matrix totally unimodular."""
+    n, k = len(obj), len(b_ub)
+    A_ub = np.asarray(A_ub, dtype=float).reshape(k, n)
+    A_eq = np.asarray(A_eq, dtype=float).reshape(len(b_eq), n)
+    row_min = np.minimum(A_ub * np.asarray(lb), A_ub * np.asarray(ub)).sum(axis=1)
+    return model(
+        list(obj) + [0.0] * k,
+        list(lb) + [0.0] * k,
+        list(ub) + np.maximum(np.asarray(b_ub) - row_min, 0.0).tolist(),
+        integer=list([False] * n if integer is None else integer) + [True] * k,
+        A_eq=np.block([[A_ub, np.eye(k)], [A_eq, np.zeros((len(b_eq), k))]]),
+        b_eq=list(b_ub) + list(b_eq),
+        constant=constant,
     )
 
 
 def simple_model():
     # max 2 v1 + v2, s.t. v1 <= 1, v2 <= 1, v1 + v2 <= 1.5, v >= 0
-    return model([2.0, 1.0], [0.0, 0.0], [1.0, 1.0], A_ub=[[1.0, 1.0]], b_ub=[1.5])
+    return slack_model([2.0, 1.0], [0.0, 0.0], [1.0, 1.0], A_ub=[[1.0, 1.0]], b_ub=[1.5])
 
 
 class TestLpSolve:
     def test_single_bounded_variable(self):
-        m = model([1.0], [0.0], [10.0], A_ub=[[1.0]], b_ub=[3.0])
+        m = slack_model([1.0], [0.0], [10.0], A_ub=[[1.0]], b_ub=[3.0])
         sol = lp_solve(m)
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.objective == pytest.approx(3.0, abs=1e-9)
 
     def test_facet_optimum(self):
-        m = model([1.0, 1.0], [0.0, 0.0], [5.0, 5.0], A_ub=[[1.0, 1.0]], b_ub=[1.0])
+        m = slack_model([1.0, 1.0], [0.0, 0.0], [5.0, 5.0], A_ub=[[1.0, 1.0]], b_ub=[1.0])
         sol = lp_solve(m)
         assert sol.objective == pytest.approx(1.0, abs=1e-9)
 
@@ -66,10 +86,10 @@ class TestLpSolve:
         oracle = max(2 * a + b for a, b in vertices)
         sol = lp_solve(simple_model())
         assert sol.objective == pytest.approx(oracle, abs=1e-9)
-        assert sol.values == pytest.approx([1.0, 0.5], abs=1e-9)
+        assert sol.values[:2] == pytest.approx([1.0, 0.5], abs=1e-9)
 
     def test_infeasible(self):
-        m = model([1.0], [0.0], [1.0], A_ub=[[-1.0]], b_ub=[-2.0])  # v1 >= 2
+        m = slack_model([1.0], [0.0], [1.0], A_ub=[[-1.0]], b_ub=[-2.0])  # v1 >= 2
         assert lp_solve(m).status is SolveStatus.INFEASIBLE
 
     def test_unbounded(self):
@@ -88,7 +108,7 @@ class TestMilpSolve:
 
     def test_fractional_vertex_raises(self):
         # max v s.t. 2 v <= 3: not totally unimodular, the LP optimum is 1.5
-        m = model([1.0], [0.0], [10.0], integer=[True], A_ub=[[2.0]], b_ub=[3.0])
+        m = slack_model([1.0], [0.0], [10.0], integer=[True], A_ub=[[2.0]], b_ub=[3.0])
         with pytest.raises(RuntimeError, match="not integral: column 0 = 1.5;"):
             milp_solve(m)
 
@@ -104,19 +124,19 @@ class TestMilpSolve:
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_enumeration_on_random_models(self, seed):
         rng = np.random.default_rng(seed)
-        m = _random_tu_model(rng, n=int(rng.integers(2, 6)), width=int(rng.integers(2, 6)))
-        oracle = _enumerate_optimum(m)
-        sol = milp_solve(m)
+        problem = _random_tu_problem(rng, n=int(rng.integers(2, 6)), width=int(rng.integers(2, 6)))
+        oracle = _enumerate_optimum(problem)
+        sol = milp_solve(slack_model(**problem))
         if oracle is None:
             assert sol.status is SolveStatus.INFEASIBLE
         else:
             assert sol.status is SolveStatus.OPTIMAL
             assert sol.objective == pytest.approx(oracle, abs=1e-6)
-            residual_check(m, sol.values)
+            residual_check(problem, sol.values[:len(problem["obj"])])
 
     def test_determinism(self):
         rng = np.random.default_rng(123)
-        m = _random_tu_model(rng, n=5, width=5)
+        m = slack_model(**_random_tu_problem(rng, n=5, width=5))
         a = milp_solve(m)
         b = milp_solve(m)
         assert a.nodes_explored == b.nodes_explored == 1
@@ -125,18 +145,19 @@ class TestMilpSolve:
 
     def test_solution_invariants(self):
         # max 3 v1 + 2 v2 + 0.5 s.t. v1 + v2 <= 5, v2 - v1 = 1
-        m = model([3.0, 2.0], [0.0, 0.0], [4.0, 4.0], integer=[True, True],
-                  A_ub=[[1.0, 1.0]], b_ub=[5.0], A_eq=[[-1.0, 1.0]], b_eq=[1.0],
-                  constant=0.5)
+        m = slack_model([3.0, 2.0], [0.0, 0.0], [4.0, 4.0], integer=[True, True],
+                        A_ub=[[1.0, 1.0]], b_ub=[5.0], A_eq=[[-1.0, 1.0]], b_eq=[1.0],
+                        constant=0.5)
         sol = milp_solve(m)
         assert np.array_equal(sol.values, np.rint(sol.values))
-        assert sol.values.tolist() == [2.0, 3.0]
+        assert sol.values[:2].tolist() == [2.0, 3.0]
         assert sol.objective == 3.0 * 2 + 2.0 * 3 + 0.5
 
 
-def _random_tu_model(rng, n, width):
+def _random_tu_problem(rng, n, width):
     """Integer data over an interval matrix (each row a run of consecutive
-    columns, times +-1): totally unimodular, like the planner's window rows."""
+    columns, times +-1): totally unimodular, like the planner's window rows.
+    Returns `slack_model`'s arguments."""
     rows = {"A_ub": [], "b_ub": [], "A_eq": [], "b_eq": []}
     for _ in range(int(rng.integers(1, 4))):
         lo = int(rng.integers(0, n))
@@ -150,35 +171,40 @@ def _random_tu_model(rng, n, width):
         kind = "eq" if sense == "=" else "ub"
         rows[f"A_{kind}"].append(coeffs)
         rows[f"b_{kind}"].append(rhs)
-    return model(
-        [float(rng.integers(-5, 6)) for _ in range(n)],
-        [0.0] * n,
-        [float(width)] * n,
+    return dict(
+        obj=[float(rng.integers(-5, 6)) for _ in range(n)],
+        lb=[0.0] * n,
+        ub=[float(width)] * n,
         integer=[True] * n,
-        **{k: v for k, v in rows.items() if v},
+        A_ub=np.reshape(rows["A_ub"], (-1, n)),
+        b_ub=np.array(rows["b_ub"]),
+        A_eq=np.reshape(rows["A_eq"], (-1, n)),
+        b_eq=np.array(rows["b_eq"]),
     )
 
 
-def _row_values(m, v):
-    return (m.A_ub @ v, m.A_eq @ v)
+def _row_values(p, v):
+    return (p["A_ub"] @ v, p["A_eq"] @ v)
 
 
-def _enumerate_optimum(m):
-    ranges = [range(int(m.lower[j]), int(m.upper[j]) + 1) for j in range(m.n_vars)]
+def _enumerate_optimum(p):
+    """Best objective of the original problem, over its own columns."""
+    ranges = [range(int(lo), int(hi) + 1) for lo, hi in zip(p["lb"], p["ub"])]
     best = None
     for point in itertools.product(*ranges):
         v = np.array(point, dtype=float)
-        ub, eq = _row_values(m, v)
-        if np.all(ub <= m.b_ub + 1e-9) and np.all(np.abs(eq - m.b_eq) <= 1e-9):
-            val = float(m.objective @ v) + m.constant
+        ub, eq = _row_values(p, v)
+        if np.all(ub <= p["b_ub"] + 1e-9) and np.all(np.abs(eq - p["b_eq"]) <= 1e-9):
+            val = float(np.dot(p["obj"], v))
             best = val if best is None else max(best, val)
     return best
 
 
-def residual_check(m, values):
-    ub, eq = _row_values(m, values)
-    assert np.all(ub <= m.b_ub + 1e-7 * (1 + np.abs(m.b_ub)))
-    assert np.all(np.abs(eq - m.b_eq) <= 1e-7 * (1 + np.abs(m.b_eq)))
+def residual_check(p, values):
+    ub, eq = _row_values(p, values)
+    b_ub, b_eq = p["b_ub"], p["b_eq"]
+    assert np.all(ub <= b_ub + 1e-7 * (1 + np.abs(b_ub)))
+    assert np.all(np.abs(eq - b_eq) <= 1e-7 * (1 + np.abs(b_eq)))
 
 
 def _oracle_plan(text, T):
@@ -205,6 +231,10 @@ class TestExportLp:
     def test_names_must_match_the_columns(self):
         with pytest.raises(ValueError, match="names"):
             model([1.0, 1.0], [0.0, 0.0], [1.0, 1.0], names=["only_one"])
+
+    def test_rows_must_match_the_columns(self):
+        with pytest.raises(ValueError, match="A_eq and b_eq"):
+            model([1.0, 1.0], [0.0, 0.0], [1.0, 1.0], A_eq=[[1.0, 1.0]], b_eq=[1.0, 2.0])
 
     def test_integer_listed_under_generals(self):
         m = model([1.0], [0.0], [3.0], integer=[True], names=["n_shifts"])
