@@ -24,7 +24,7 @@ __all__ = [
     "reward_vector",
     "supply_curve",
     "total_reward",
-    "window_indices",
+    "window_ends",
 ]
 
 
@@ -227,33 +227,32 @@ def reward_vector(y, d, a: float) -> np.ndarray:
     return out
 
 
-def window_indices(scenario: Scenario, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row t, column tau and count n of every nonzero entry of the T x T window
-    matrix W: (W @ x)[t] sums the starts x[t-width+1 .. t], with indices below
-    0 dropped (zero-padded) or wrapped (circular). A circular window of width
-    qT + r holds every start q times and its last r starts once more; a
-    zero-padded window wider than T holds what one of width T holds. Counts
-    are float64, so n * x cannot wrap."""
-    T = scenario.T
-    lags = min(width, T)
-    t = np.repeat(np.arange(T), lags)
-    lag = np.tile(np.arange(lags), T)
-    tau = t - lag
+def window_ends(scenario: Scenario, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The window of `width` steps ending at each step t = 1..T over the cumulative
+    starts X_t = x_1 + ... + x_t, X_0 = 0: its sum is X_t - X_j + n * sum(x).
+    Zero-padded, j = max(t - width, 0) and n = 0. Circular, width = qT + r gives
+    j = t - r and n = q, or where t < r, j = t - r + T and n = q + 1."""
+    t = np.arange(1, scenario.T + 1)
     if scenario.boundary is Boundary.CIRCULAR:
-        q, r = divmod(width, T)
-        return t, tau % T, q + (lag < r).astype(float)
-    keep = tau >= 0
-    return t[keep], tau[keep], np.ones(np.count_nonzero(keep))
+        q, r = divmod(width, scenario.T)
+        return t - r + scenario.T * (t < r), q + (t < r)
+    return np.maximum(t - width, 0), np.zeros(scenario.T, dtype=np.int64)
 
 
 def supply_curve(plan: ShiftPlan, scenario: Scenario) -> SupplyCurve:
-    """Active shifts y_t and active extended shifts z_t for a plan."""
+    """Active shifts y_t and active extended shifts z_t of a plan, exact in int64;
+    ValueError where the plan's total or a window sum does not fit in int64."""
     if len(plan) != scenario.T:
         raise ValueError(f"plan length {len(plan)} != T={scenario.T}")
+    X = np.concatenate([[0], np.cumsum(plan.x)])  # wraps where a sum passes 2**63 - 1
 
     def window_sum(width: int) -> np.ndarray:
-        t, tau, n = window_indices(scenario, width)
-        return np.bincount(t, plan.x[tau] * n, scenario.T).astype(np.int64)
+        j, n = window_ends(scenario, width)
+        last = X[1:] - X[j] + (n > n[-1]) * X[-1]  # the last (width mod T) starts
+        whole = int(n[-1]) * int(X[-1])  # q full sums: n = q at t = T, q + 1 where j wraps
+        if np.any(X[1:] < plan.x) or whole + int(last.max()) > np.iinfo(np.int64).max:
+            raise ValueError("the plan's total or a window sum does not fit in int64")
+        return last + whole
 
     return SupplyCurve(y=window_sum(scenario.delta), z=window_sum(scenario.delta + scenario.beta))
 

@@ -5,9 +5,12 @@ vehicle and extended-shift caps): the reward-maximizing program, and the
 baseline program minimizing squared deviation from a desired supply. Each
 step's concave reward or convex squared deviation enters through its chord
 envelope: every piece becomes a segment column u in [0, width] with the
-piece's slope as gain, and y_t is the sum of its step's segments. With x,
-y and z tied by window sums, the constraint matrix is totally unimodular, so
-every LP solve yields an integral optimum. `plan` and `plan_baseline` solve
+piece's slope as gain. Over the cumulative starts X_t = x_1 + ... + x_t a
+window sum is X_t - X_j plus a constant, so among the X columns each row has
+one +1 and at most one -1 (a transposed network matrix, whose LP dual is a
+min-cost flow; Ahuja, Hochbaum & Orlin 2003, Mgmt. Sci. 49(7)), and x, z and
+u add one -1 each: the matrix is totally unimodular, so every LP solve
+yields an integral optimum. `plan` and `plan_baseline` solve
 a coarse envelope, then per-step windows of the fine one around its optimum
 (proximity scaling for separable concave objectives; Hochbaum 1994, Math. OR
 19(2)), and the full program only when the windowed optimum does not
@@ -30,7 +33,7 @@ from .domain import (
     demand_vector,
     supply_curve,
     total_reward,
-    window_indices,
+    window_ends,
 )
 from .milp import MilpModel, SolveStatus, milp_solve
 from .piecewise import Envelopes, concavify_reward, convexify_sq_dev
@@ -83,48 +86,46 @@ class PlanResult:
 
 
 def _segment_model(scenario: Scenario, env: Envelopes) -> MilpModel:
-    """max env.sign * sum_t envelope_t(y_t) over plans, with columns x, y, z, u.
-
-    Step t's envelope spans its window [lo_t, hi_t]: y_t - sum of its
-    segments = lo_t, with y_t bounded to the window.
-    """
-    T, N = scenario.T, scenario.N
+    """max env.sign * sum_t envelope_t(y_t) over plans, with columns x, X, z, u and
+    rows X_t - X_{t-1} - x_t = 0, the window of delta minus step t's segments =
+    lo_t - c_t, the window of delta + beta minus z_t = -c_t (c_t: the multiples of
+    sN a circular window adds), and X_T = sN. y_t is lo_t plus its segments, whose
+    widths stop at min(c_veh, N) >= lo_t."""
+    T, N, total = scenario.T, scenario.N, scenario.total_shifts
     widths = env.widths()
-    n_seg = len(widths)
-    per_step = np.bincount(env.step, minlength=T)
-    lo = env.start.astype(float)
-    hi = np.minimum(env.ends[np.cumsum(per_step) - 1], min(scenario.c_veh, N))
-    # rows: y_t and z_t as window sums of x, the sum of x, y_t minus its segments;
-    # columns: x, y, z, u
-    t = np.arange(T)
-    y_rows, y_cols, y_n = window_indices(scenario, scenario.delta)
-    z_rows, z_cols, z_n = window_indices(scenario, scenario.delta + scenario.beta)
-    rows = np.concatenate([y_rows, t, T + z_rows, T + t, np.full(T, 2 * T),
-                           2 * T + 1 + t, 2 * T + 1 + env.step])
-    cols = np.concatenate([y_cols, T + t, z_cols, 2 * T + t, t,
-                           T + t, 3 * T + np.arange(n_seg)])
-    data = np.concatenate([y_n, np.full(T, -1.0), z_n,
-                           np.repeat([-1.0, 1.0, 1.0, -1.0], [T, T, T, n_seg])])
+    n_seg, t = len(widths), np.arange(T)
+    # (rows, columns) of the entries +1, X_t in each row t, and of the entries -1
+    plus = [(t, T + t), (T + t, T + t), (2 * T + t, T + t), ([3 * T], [2 * T - 1])]
+    minus = [(t[1:], T - 1 + t[1:]), (t, t), (T + env.step, 3 * T + np.arange(n_seg)),
+             (2 * T + t, 2 * T + t)]
+    b_eq = [np.zeros(T)]
+    for first, width, lo in ((T, scenario.delta, env.start),
+                             (2 * T, scenario.delta + scenario.beta, 0)):
+        j, n = window_ends(scenario, width)
+        minus.append((first + t[j > 0], T - 1 + j[j > 0]))
+        b_eq.append(lo - n * float(total))
+    rows, cols = (np.concatenate(side) for side in zip(*plus, *minus))
+    data = np.repeat([1.0, -1.0], [3 * T + 1, len(rows) - 3 * T - 1])
     A_eq = sparse.csc_matrix((data, (rows, cols)), shape=(3 * T + 1, 3 * T + n_seg))
-    b_eq = np.concatenate([np.zeros(2 * T), [scenario.total_shifts], lo])
+    A_eq.eliminate_zeros()  # X_t - X_t, where a circular width is a multiple of T
     return MilpModel(
         objective=np.concatenate([np.zeros(3 * T), env.sign * env.slopes]),
-        lower=np.concatenate([np.zeros(T), lo, np.zeros(T + n_seg)]),
-        upper=np.concatenate([np.full(T, N), hi, np.full(T, N), widths]),
+        lower=np.zeros(3 * T + n_seg),
+        upper=np.concatenate([np.full(T, N), np.full(T, total), np.full(T, N),
+                              np.clip(min(scenario.c_veh, N) - (env.ends - widths), 0, widths)]),
         is_integer=np.arange(3 * T + n_seg) < T,
         A_eq=A_eq,
-        b_eq=b_eq,
+        b_eq=np.concatenate(b_eq + [[total]]),
         constant=env.sign * sum(env.start_value.tolist()),  # sum_t envelope_t(lo_t)
     )
 
 
 def _named(model: MilpModel, env: Envelopes) -> MilpModel:
-    """The segment model with its columns named x_t, y_t, z_t and u_t_k
-    (segment k of step t), as `export_lp` writes them."""
+    """The segment model with columns named x_t, X_t, z_t and u_t_k (piece k of step t)."""
     steps = range(1, len(env.start) + 1)
     per_step = np.bincount(env.step, minlength=len(env.start)).tolist()
     seg_names = [f"u_{t}_{k}" for t, n in zip(steps, per_step) for k in range(1, n + 1)]
-    return replace(model, names=[f"{v}_{t}" for v in "xyz" for t in steps] + seg_names)
+    return replace(model, names=[f"{v}_{t}" for v in "xXz" for t in steps] + seg_names)
 
 
 def _y_max(scenario: Scenario) -> int:
@@ -172,7 +173,7 @@ def _solve(scenario: Scenario, envelopes: Callable[..., Envelopes], *params) -> 
         sol = milp_solve(_segment_model(scenario, env))
         if sol.status is SolveStatus.INFEASIBLE:
             raise PlanningError(sol.status, f"no plan: solver status {sol.status.value}")
-        return env, sol, sol.values[T : 2 * T].astype(np.int64)
+        return env, sol, env.start + np.bincount(env.step, sol.values[3 * T :], T).astype(np.int64)
 
     env, sol, y = solve(0, y_max, stride)
     rounds = 1

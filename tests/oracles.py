@@ -1,8 +1,8 @@
 """Independent oracles used by the tests: window sums by convolution,
 brute-force plan enumeration, random feasible-plan sampling, a minimal
 CPLEX-LP-format reader, the quadratic scan that defines greedy rostering,
-chord envelopes built one step at a time, the segment model's matrix built
-block by block, and demand and reward computed one step at a time."""
+chord envelopes built one step at a time, the segment model in window form
+built block by block, and demand and reward computed one step at a time."""
 
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ from shiftopt.domain import (
     ShiftPlan,
     reward,
 )
+from shiftopt.milp import MilpModel
 from shiftopt.piecewise import Envelopes
 from shiftopt.roster import ExtendedShift, Roster
 
@@ -144,6 +145,25 @@ def segment_matrix_by_blocks(scenario: Scenario, env: Envelopes) -> sparse.csc_m
         ],
         format="csr",
     ).tocsc()
+
+
+def window_form_model(scenario: Scenario, env: Envelopes) -> MilpModel:
+    """The segment model in window form, over columns x, y, z, u: the rows of
+    `segment_matrix_by_blocks`, y_t bounded by its envelope's window and
+    min(c_veh, N), and every segment by its width."""
+    T, n_seg = scenario.T, len(env.step)
+    last = np.searchsorted(env.step, np.arange(T), side="right") - 1
+    cap = min(scenario.c_veh, scenario.N)
+    return MilpModel(
+        objective=np.concatenate([np.zeros(3 * T), env.sign * env.slopes]),
+        lower=np.concatenate([np.zeros(T), env.start, np.zeros(T + n_seg)]),
+        upper=np.concatenate([np.full(T, scenario.N), np.minimum(env.ends[last], cap),
+                              np.full(T, scenario.N), env.widths()]),
+        is_integer=np.arange(3 * T + n_seg) < T,
+        A_eq=segment_matrix_by_blocks(scenario, env),
+        b_eq=np.concatenate([np.zeros(2 * T), [scenario.total_shifts], env.start]),
+        constant=env.sign * float(env.start_value.sum()),
+    )
 
 
 def demand_by_loop(scenario: Scenario) -> np.ndarray:

@@ -241,6 +241,36 @@ class TestSupplyCurve:
         with pytest.raises(ValueError):
             supply_curve(ShiftPlan(x=np.array([1, 0])), scenario(T=4))
 
+    def test_sums_past_2_53_exact(self):
+        curve = supply_curve(ShiftPlan(x=np.array([2**53 + 1, 0])), scenario(T=2, delta=1))
+        assert curve.y.tolist() == [2**53 + 1, 0]
+
+    @pytest.mark.parametrize("x, beta, boundary", [
+        ([2**62, 2**62], 0, Boundary.ZERO_PADDED),  # the total passes 2**63 - 1
+        ([2**62, 2**62], 0, Boundary.CIRCULAR),
+        ([2**61, 0], 6, Boundary.CIRCULAR),  # 4 full sums of 2**61
+        ([2**62, 2**62 - 1], 1, Boundary.CIRCULAR),  # z_1 = total + x_1
+    ])
+    def test_sums_past_int64_rejected_without_warning(self, x, beta, boundary):
+        sc = scenario(T=2, delta=2, beta=beta, boundary=boundary)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="int64"):
+                supply_curve(ShiftPlan(x=np.array(x)), sc)
+
+    def test_largest_sums_kept_exactly(self):
+        sc = scenario(T=2, delta=2, beta=4, boundary=Boundary.CIRCULAR)
+        curve = supply_curve(ShiftPlan(x=np.array([2**61 - 1, 0])), sc)  # 3 full sums
+        assert curve.y.tolist() == [2**61 - 1] * 2 and curve.z.tolist() == [3 * 2**61 - 3] * 2
+
+    def test_zero_padded_window_of_2_20_steps(self):
+        sc = scenario(T=2**20, N=1, delta=2**20, beta=0, c_veh=1)
+        x = np.zeros(sc.T, dtype=np.int64)
+        x[[0, -1]] = 1
+        curve = supply_curve(ShiftPlan(x=x), sc)
+        assert curve.y[0] == 1 and curve.y[-2] == 1 and curve.y[-1] == 2
+        assert np.array_equal(curve.y, curve.z)
+
     @given(st.data())
     def test_random_plan_invariants(self, data):
         T = data.draw(st.integers(2, 10))

@@ -26,7 +26,7 @@ from shiftopt import (
 from shiftopt import benchmark, milp, planner
 from shiftopt.planner import EconomicStandard, ServiceStandard
 
-from oracles import best_plan_by_enumeration, segment_matrix_by_blocks
+from oracles import best_plan_by_enumeration, window_form_model
 
 
 def small_scenario(**kw):
@@ -39,7 +39,7 @@ class TestBuildRewardMip:
     def test_structural_variable_count(self):
         sc = Scenario(T=4, N=1, s=1, delta=2, beta=1, d_max=1.0, a=1.0, c_veh=1)
         model = build_reward_mip(sc)
-        assert model.n_vars == 16  # x, y, z, r per step
+        assert model.n_vars == 16  # x, X, z and one segment per step
         assert sum(model.is_integer) == 4
 
     def test_no_drivers_means_zero_plan(self):
@@ -83,17 +83,16 @@ class TestBuildDeviationMip:
 
 
 class TestSegmentMatrix:
-    """The segment model's rows, assembled from index arithmetic, equal the
-    block-by-block reference entry for entry."""
+    """The cumulative-start model and the window-form model built block by
+    block have the same LP status and optimum, and an integral one."""
 
     @staticmethod
     def _check(scenario, env, build=planner._segment_model):
-        got = build(scenario, env).A_eq
-        want = segment_matrix_by_blocks(scenario, env)
-        assert got.format == "csc" and got.shape == want.shape
-        assert got.indptr.tolist() == want.indptr.tolist()
-        assert got.indices.tolist() == want.indices.tolist()
-        assert got.data.tolist() == want.data.tolist()
+        got, want = milp_solve(build(scenario, env)), milp_solve(window_form_model(scenario, env))
+        assert got.status is want.status
+        if want.status is SolveStatus.OPTIMAL:
+            assert math.isclose(got.objective, want.objective, rel_tol=1e-12, abs_tol=1e-12)
+        return got.status
 
     @pytest.mark.parametrize("boundary, delta, beta", [
         (Boundary.ZERO_PADDED, 2, 1),
@@ -122,6 +121,52 @@ class TestSegmentMatrix:
         monkeypatch.setattr(planner, "_segment_model", checked)
         sc = Scenario(T=48, N=120, s=2, delta=6, beta=4, d_max=120.0, a=2.0, c_veh=100)
         assert plan(sc).nodes == len(envs) >= 2
+
+    def test_random_scenarios(self):
+        # both boundaries, delta + beta past T, windowed envelopes, c_veh = 0 < N
+        statuses = set()
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            T = int(rng.integers(2, 13))
+            N = int(rng.integers(0, 6))
+            sc = Scenario(T=T, N=N, s=int(rng.integers(1, 4)), delta=int(rng.integers(1, T + 1)),
+                          beta=int(rng.integers(0, 2 * T)), d_max=float(rng.uniform(0, 2 * N)),
+                          a=float(rng.uniform(0.5, 3)), c_veh=int(rng.integers(0, N + 3)),
+                          boundary=list(Boundary)[seed % 2])
+            y_max = max(1, min(sc.c_veh, N))
+            lo = rng.integers(0, min(sc.c_veh, N) + 1, T)
+            hi = np.minimum(lo + rng.integers(1, 4, T), np.maximum(y_max, lo + 1))
+            d = demand_vector(sc)
+            for env in (concavify_reward(d, sc.a, 0, y_max), concavify_reward(d, sc.a, lo, hi),
+                        convexify_sq_dev(d, 0, y_max, stride=2), convexify_sq_dev(d, lo, hi)):
+                statuses.add(self._check(sc, env))
+        assert statuses == set(SolveStatus)
+
+    def test_no_vehicles_for_some_drivers_is_infeasible(self):
+        sc = small_scenario(c_veh=0)
+        env = concavify_reward(demand_vector(sc), sc.a, 0, 1)
+        assert self._check(sc, env) is SolveStatus.INFEASIBLE
+        with pytest.raises(PlanningError):
+            plan(sc)
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_size_does_not_grow_with_the_break(self, boundary):
+        """Each window row holds at most two cumulative-start columns. A
+        zero-padded window that reaches before step 1 holds only one."""
+        models = [build_reward_mip(Scenario(T=12, N=2, s=1, delta=4, beta=beta, d_max=3.0,
+                                            a=1.0, c_veh=2, boundary=boundary))
+                  for beta in (0, 10, 2**31 - 1)]
+        nnz, n_seg = [m.A_eq.nnz for m in models], models[0].n_vars - 3 * 12
+        assert max(nnz) == nnz[0] <= 8 * 12 + n_seg and nnz[1] == nnz[2]
+        if boundary is Boundary.CIRCULAR:  # no width here is a multiple of T
+            assert nnz[0] == nnz[1]
+
+    def test_zero_padded_window_of_2_20_steps(self):
+        """T = delta = 2**20 builds without materialising a T x T window."""
+        sc = Scenario(T=2**20, N=1, s=1, delta=2**20, beta=0, d_max=1.0, a=1.0, c_veh=1)
+        model = build_reward_mip(sc)
+        assert model.A_eq.shape == (3 * sc.T + 1, 4 * sc.T)
+        assert model.A_eq.nnz == 7 * sc.T
 
 
 class TestPlan:
@@ -183,21 +228,30 @@ class TestPlan:
         generals = "".join(f" x_{t}\n" for t in range(1, sc.T + 1)) + "End\n"
         for model in (build_reward_mip(sc), build_deviation_mip(sc, demand_vector(sc))):
             assert export_lp(model).split("Generals\n")[1] == generals
-            assert model.names[2 * sc.T] == "z_1" and model.names[-1].startswith("u_48_")
+            assert model.names[: 3 * sc.T : sc.T] == ["x_1", "X_1", "z_1"]
+            assert model.names[-1].startswith("u_48_")
 
     def test_windowed_rounds_end_inside_their_windows(self, monkeypatch):
-        bounds = []
+        envs, bounds = [], []
+        for name in ("concavify_reward", "convexify_sq_dev"):
+            monkeypatch.setattr(planner, name, lambda *a, real=getattr(planner, name): (
+                envs.append(real(*a)) or envs[-1]))
         real = milp.linprog
         monkeypatch.setattr(
             milp, "linprog", lambda *a, **kw: bounds.append(kw["bounds"]) or real(*a, **kw)
         )
         sc = Scenario(T=48, N=120, s=2, delta=6, beta=4, d_max=120.0, a=2.0, c_veh=100)
         for solve in (plan, lambda sc: plan_baseline(sc, ServiceStandard(0.8))):
+            envs.clear()
             bounds.clear()
             result = solve(sc)
             assert result.nodes >= 2
-            assert len(bounds) == result.nodes
-            lo, hi = bounds[-1][sc.T : 2 * sc.T].T
+            assert len(envs) == len(bounds) == result.nodes
+            # the last round's supply window: lo_t plus its segments' upper bounds
+            env = envs[-1]
+            lo, last = env.start, np.cumsum(np.bincount(env.step)) - 1
+            hi = lo + np.bincount(env.step, bounds[-1][3 * sc.T :, 1], sc.T)
+            assert np.array_equal(hi, np.minimum(env.ends[last], 100))
             y = result.supply.y
             # a window side other than 0 or y_max = 100 never holds the final supply
             assert np.all((lo == 0) | (y > lo))
