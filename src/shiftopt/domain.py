@@ -163,7 +163,7 @@ class ShiftPlan:
 
     @property
     def total(self) -> int:
-        return int(self.x.sum())
+        return sum(self.x.tolist())  # exact: an int64 sum would wrap past 2**63 - 1
 
 
 @dataclass(frozen=True)

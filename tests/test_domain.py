@@ -220,6 +220,10 @@ class TestShiftPlan:
             warnings.simplefilter("error")
             assert ShiftPlan(x=np.array([1, 0], dtype=dtype)).x.tolist() == [1, 0]
 
+    def test_total_past_int64_is_exact(self):
+        # an int64 sum of these counts wraps to -2**63 without a warning
+        assert ShiftPlan(x=np.array([2**62, 2**62, 2**63 - 1])).total == 2**64 - 1
+
 
 class TestSupplyCurve:
     def test_zero_padded(self):

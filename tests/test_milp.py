@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from shiftopt import (
     Boundary,
     MilpModel,
+    PlanningError,
     Scenario,
     ShiftPlan,
     SolveStatus,
@@ -22,6 +24,7 @@ from shiftopt import (
     supply_curve,
     total_reward,
 )
+from shiftopt import milp, planner
 from shiftopt.planner import EconomicStandard, ServiceStandard
 
 from oracles import parse_lp, solve_parsed_lp
@@ -152,6 +155,98 @@ class TestMilpSolve:
         assert np.array_equal(sol.values, np.rint(sol.values))
         assert sol.values[:2].tolist() == [2.0, 3.0]
         assert sol.objective == 3.0 * 2 + 2.0 * 3 + 0.5
+
+
+def _both_backends(model):
+    """lp_solve(model) through `milp.linprog` and through its fallback,
+    scipy.optimize.linprog, each with the HiGHS iteration count a wrapper sees."""
+    runs = []
+    for backend in (milp.linprog, scipy.optimize.linprog):
+        nits = []
+
+        def counted(c, *args, real=backend, nits=nits, **kwargs):
+            res = real(c, *args, **kwargs)
+            nits.append(res.nit)
+            return res
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(milp, "linprog", counted)
+            runs.append((lp_solve(model), nits))
+    return runs
+
+
+def _assert_same_solve(model):
+    (ours, our_nits), (fallback, fallback_nits) = _both_backends(model)
+    assert ours.status is fallback.status
+    assert np.array_equal(ours.values, fallback.values, equal_nan=True)
+    assert ours.objective == fallback.objective
+    assert our_nits == fallback_nits and len(our_nits) == 1
+
+
+def _segment_models(solve):
+    """The models `solve` hands milp_solve, one per LP round."""
+    models = []
+    real = planner.milp_solve
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(planner, "milp_solve", lambda m: models.append(m) or real(m))
+        try:
+            solve()
+        except PlanningError:
+            pass
+    return models
+
+
+class TestHighsBackends:
+    """Where SciPy ships its HiGHS bindings, `milp.linprog` calls HiGHS directly;
+    the `scipy.optimize.linprog` fallback must solve every LP the same, bit for bit."""
+
+    def test_direct_call_where_the_bindings_import(self):
+        try:
+            from scipy.optimize._highspy._core import (  # noqa: F401
+                HighsModelStatus, HighsOptions, HighsStatus, MatrixFormat, ObjSense, _Highs)
+        except ImportError:
+            assert milp.linprog is scipy.optimize.linprog
+        else:
+            assert milp.linprog is not scipy.optimize.linprog
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_tu_models(self, seed):
+        rng = np.random.default_rng(seed)
+        problem = _random_tu_problem(rng, n=int(rng.integers(2, 6)), width=int(rng.integers(2, 6)))
+        _assert_same_solve(slack_model(**problem))
+
+    @pytest.mark.parametrize("solve, rounds", [
+        (lambda: plan(Scenario(T=48, N=120, s=2, delta=6, beta=4, d_max=120.0, a=2.0,
+                               c_veh=100)), 2),
+        (lambda: plan_baseline(Scenario(T=48, N=120, s=2, delta=6, beta=4, d_max=120.0, a=2.0,
+                                        c_veh=100, boundary=Boundary.CIRCULAR),
+                               ServiceStandard(0.8)), 2),
+        (lambda: plan_baseline(Scenario(T=24, N=6, s=2, delta=4, beta=2, d_max=8.0, a=1.5,
+                                        c_veh=5), EconomicStandard(1.0)), 1),
+        # the windowed round's optimum rests on a window side: a third, full round
+        (lambda: plan(Scenario(T=19, N=143, s=3, delta=5, beta=0, d_max=26.062734815051325,
+                               a=2.824821213818114, c_veh=141, boundary=Boundary.CIRCULAR)), 3),
+        # no vehicle for N = 2 drivers: infeasible
+        (lambda: plan(Scenario(T=6, N=2, s=1, delta=2, beta=1, d_max=4.0, a=2.0, c_veh=0)), 1),
+    ])
+    def test_segment_models(self, solve, rounds):
+        models = _segment_models(solve)
+        assert len(models) >= rounds
+        for model in models:
+            _assert_same_solve(model)
+
+    @pytest.mark.parametrize("A_eq, b_eq", [([[1e20, 1.0]], [1.0]), ([[1.0, 1.0]], [1e31])])
+    def test_models_highs_rejects(self, A_eq, b_eq):
+        # HiGHS rejects a matrix value of 1e15 or more and a right-hand side of
+        # 1e30, its infinity, or more; linprog reports that model error as status 2
+        _assert_same_solve(model([1.0, 1.0], [0.0, 0.0], [1.0, 1.0], A_eq=A_eq, b_eq=b_eq))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_rows_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            model([1.0], [0.0], [1.0], A_eq=[[bad]], b_eq=[1.0])
+        with pytest.raises(ValueError, match="finite"):
+            model([1.0], [0.0], [1.0], A_eq=[[1.0]], b_eq=[bad])
 
 
 def _random_tu_problem(rng, n, width):
