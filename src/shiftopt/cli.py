@@ -34,6 +34,8 @@ EXIT_IO = 4
 EXIT_VERIFICATION = 5
 
 _SWEEP_KINDS = ("sweep_drivers", "sweep_shifts_per_driver", "sweep_shift_length")
+# the roster holds one object per shift: 2**20 of them take about 5 s and 200 MiB
+_ROSTER_SHIFTS = 2**20
 
 
 class ConfigError(Exception):
@@ -252,8 +254,10 @@ def _cmd_compare(config: dict) -> dict[str, str]:
 
 def _cmd_roster(config: dict) -> dict[str, str]:
     scenario: Scenario = config["_scenario"]
+    most = scenario.total_shifts  # no plan has a larger entry
+    if most > _ROSTER_SHIFTS:
+        raise ConfigError(f"roster takes at most s*N = {_ROSTER_SHIFTS} shifts, got {most}")
     if "plan" in config:
-        most = scenario.total_shifts  # no plan has a larger entry
         x = _numbers(config, "plan", lambda v: _whole(0)(v) and v <= most,
                      f"whole numbers from 0 to s*N = {most}")
         if len(x) != scenario.T:

@@ -6,6 +6,9 @@ constraint matrix and integral bounds and right-hand sides, so every basic
 optimum of the LP relaxation is integral (Hochbaum & Shanthikumar 1990,
 J. ACM 37(4)). `milp_solve` therefore solves the relaxation once with HiGHS
 and checks the optimum for integrality instead of branching.
+
+HiGHS is called through SciPy's private bundled bindings (SciPy >= 1.15),
+in `linprog` only: a separate function because the benchmark hooks it.
 """
 
 from __future__ import annotations
@@ -15,47 +18,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import OptimizeResult
+from scipy.optimize._highspy._core import (HighsModelStatus, HighsOptions, HighsStatus,
+                                           MatrixFormat, ObjSense, _Highs)
 from scipy.sparse import csc_matrix
-
-try:  # SciPy's own HiGHS bindings, private; SciPy before 1.15 has none
-    from scipy.optimize._highspy._core import (HighsModelStatus, HighsOptions, HighsStatus,
-                                               MatrixFormat, ObjSense, _Highs)
-except ImportError:
-    from scipy.optimize import linprog
-else:
-
-    def linprog(c, *, A_eq, b_eq, bounds, method="highs", options):
-        """`scipy.optimize.linprog(method="highs")` on lp_solve's LPs as one direct
-        HiGHS call, without the wrapper's Python loop over every column: linprog's
-        dual simplex, output off, `options`' presolve and tolerance, and its status
-        codes. Named for the fallback because the benchmark's `milp.highs` layer
-        wraps it by this name; ROADMAP item 2 moves that hook to lp_solve."""
-        highs, opts = _Highs(), HighsOptions()
-        opts.output_flag = opts.log_to_console = False
-        opts.simplex_strategy = 1  # dual
-        opts.presolve = "on" if options["presolve"] else "off"
-        opts.dual_feasibility_tolerance = options["dual_feasibility_tolerance"]
-        highs.passOptions(opts)
-        # columns, rows, nonzeros, format, sense, offset, costs, column and row
-        # bounds, CSC arrays (sized by MilpModel), integrality (continuous). This
-        # form reads the buffers; a HighsLp's fields copy most arrays entry by entry
-        (m, n), (lower, upper) = A_eq.shape, bounds.T.copy()
-        loaded = highs.passModel(n, m, A_eq.nnz, MatrixFormat.kColwise, ObjSense.kMinimize, 0.0,
-                                 c, lower, upper, b_eq, b_eq, A_eq.indptr, A_eq.indices,
-                                 A_eq.data, np.zeros(n, np.int32)) != HighsStatus.kError
-        if loaded:  # else HiGHS read a value as infinite: a model error
-            highs.run()
-        status = highs.getModelStatus() if loaded else HighsModelStatus.kModelError
-        optimal, info = status == HighsModelStatus.kOptimal, highs.getInfo()
-        return OptimizeResult(
-            status={HighsModelStatus.kOptimal: 0, HighsModelStatus.kInfeasible: 2,
-                    HighsModelStatus.kModelError: 2}.get(status, 4),
-            x=np.array(highs.getSolution().col_value) if optimal else None,
-            fun=info.objective_function_value if optimal else None,
-            nit=max(info.simplex_iteration_count, 0),
-            message=highs.modelStatusToString(status),
-        )
-
 
 __all__ = [
     "MilpModel",
@@ -126,33 +91,46 @@ class MilpSolution:
     nodes_explored: int  # LP solves
 
 
+def linprog(c, *, A_eq, b_eq, lower, upper):
+    """min c·v  s.t.  A_eq v = b_eq, lower <= v <= upper by HiGHS's dual simplex
+    at DUAL_TOL: HiGHS's model `status`, optimum `x` and `fun` (None unless
+    optimal) and iterations `nit`. Its name, `c` first, `A_eq` by keyword and
+    `nit` are what the benchmark's `milp.highs` layer wraps and reads."""
+    highs, opts = _Highs(), HighsOptions()
+    opts.output_flag = opts.log_to_console = False
+    opts.simplex_strategy = 1  # dual
+    # presolve costs more than it saves on the planner's models, whose rows
+    # are already tight: without it their LPs solve about 15-30% faster
+    opts.presolve = "off"
+    opts.dual_feasibility_tolerance = DUAL_TOL
+    highs.passOptions(opts)
+    # columns, rows, nonzeros, format, sense, offset, costs, column and row
+    # bounds, CSC arrays (canonical, from MilpModel), integrality (continuous).
+    # This form reads the buffers; a HighsLp's fields copy most arrays entry by entry
+    m, n = A_eq.shape
+    loaded = highs.passModel(n, m, A_eq.nnz, MatrixFormat.kColwise, ObjSense.kMinimize, 0.0,
+                             c, lower, upper, b_eq, b_eq, A_eq.indptr, A_eq.indices,
+                             A_eq.data, np.zeros(n, np.int32)) != HighsStatus.kError
+    if loaded:  # else HiGHS read a value as infinite: a model error
+        highs.run()
+    status = highs.getModelStatus() if loaded else HighsModelStatus.kModelError
+    optimal, info = status == HighsModelStatus.kOptimal, highs.getInfo()
+    return OptimizeResult(status=status, nit=max(info.simplex_iteration_count, 0),
+                          x=np.array(highs.getSolution().col_value) if optimal else None,
+                          fun=info.objective_function_value if optimal else None)
+
+
 def lp_solve(model: MilpModel) -> MilpSolution:
     """Solve the LP relaxation (integrality ignored) with one HiGHS call."""
-    # HiGHS presolve costs more than it saves on the planner's models, whose
-    # rows are already tight: without it their LPs solve about 15-30% faster
-    res = linprog(
-        -model.objective,
-        A_eq=model.A_eq,
-        b_eq=model.b_eq,
-        bounds=np.column_stack([model.lower, model.upper]),
-        method="highs",
-        options={"dual_feasibility_tolerance": DUAL_TOL, "presolve": False},
-    )
-    if res.status == 2:
-        return MilpSolution(
-            status=SolveStatus.INFEASIBLE,
-            values=np.full(model.n_vars, np.nan),
-            objective=-np.inf,
-            nodes_explored=1,
-        )
-    if res.status != 0:
-        raise RuntimeError(f"LP backend failed: {res.message}")
-    return MilpSolution(
-        status=SolveStatus.OPTIMAL,
-        values=res.x,
-        objective=model.constant - res.fun,
-        nodes_explored=1,
-    )
+    res = linprog(-model.objective, A_eq=model.A_eq, b_eq=model.b_eq,
+                  lower=model.lower, upper=model.upper)
+    if res.status in (HighsModelStatus.kInfeasible, HighsModelStatus.kModelError):
+        return MilpSolution(status=SolveStatus.INFEASIBLE, values=np.full(model.n_vars, np.nan),
+                            objective=-np.inf, nodes_explored=1)
+    if res.status != HighsModelStatus.kOptimal:
+        raise RuntimeError(f"LP backend failed: HiGHS model status {res.status.name}")
+    return MilpSolution(status=SolveStatus.OPTIMAL, values=res.x,
+                        objective=model.constant - res.fun, nodes_explored=1)
 
 
 def milp_solve(model: MilpModel) -> MilpSolution:

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import tempfile
+import time
 from contextlib import redirect_stderr
 from pathlib import Path
 
@@ -429,6 +430,21 @@ class TestRosterCommand:
         header, rows = read_csv(str(out / "roster.csv"))
         assert header == ["driver_id", "shift_index", "start_step", "end_step"]
         assert rows == []
+
+    @pytest.mark.parametrize("plan", [[10**8, 0], None], ids=["given-plan", "solved-plan"])
+    def test_shift_count_bounded_before_any_shift_is_built(self, tmp_path, capsys, plan):
+        # 10**8 shifts, one object each, used to end in MemoryError with exit 1
+        config = {"kind": "roster", "scenario": base_scenario(
+            T=2, N=10**8, c_veh=10**8, s=1, delta=1, beta=0)}
+        if plan is not None:
+            config["plan"] = plan
+        start = time.perf_counter()
+        code, out = run(tmp_path, "roster", config)
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err == (
+            "error: roster takes at most s*N = 1048576 shifts, got 100000000\n")
+        assert not out.exists()
 
     def test_violating_plan_exit_5(self, tmp_path):
         config = {

@@ -157,30 +157,35 @@ class TestMilpSolve:
         assert sol.objective == 3.0 * 2 + 2.0 * 3 + 0.5
 
 
-def _both_backends(model):
-    """lp_solve(model) through `milp.linprog` and through its fallback,
-    scipy.optimize.linprog, each with the HiGHS iteration count a wrapper sees."""
-    runs = []
-    for backend in (milp.linprog, scipy.optimize.linprog):
-        nits = []
-
-        def counted(c, *args, real=backend, nits=nits, **kwargs):
-            res = real(c, *args, **kwargs)
-            nits.append(res.nit)
-            return res
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(milp, "linprog", counted)
-            runs.append((lp_solve(model), nits))
-    return runs
+def _reference_solve(model):
+    """lp_solve's answer from `scipy.optimize.linprog(method="highs")`, with
+    lp_solve's options, and the HiGHS iteration count linprog reports."""
+    res = scipy.optimize.linprog(
+        -model.objective, A_eq=model.A_eq, b_eq=model.b_eq,
+        bounds=np.column_stack([model.lower, model.upper]), method="highs",
+        options={"dual_feasibility_tolerance": milp.DUAL_TOL, "presolve": False})
+    assert res.status in (0, 2), res.message  # optimal, or infeasible or a model error
+    if res.status == 2:
+        return SolveStatus.INFEASIBLE, np.full(model.n_vars, np.nan), -np.inf, res.nit
+    return SolveStatus.OPTIMAL, res.x, model.constant - res.fun, res.nit
 
 
 def _assert_same_solve(model):
-    (ours, our_nits), (fallback, fallback_nits) = _both_backends(model)
-    assert ours.status is fallback.status
-    assert np.array_equal(ours.values, fallback.values, equal_nan=True)
-    assert ours.objective == fallback.objective
-    assert our_nits == fallback_nits and len(our_nits) == 1
+    nits = []
+
+    def counted(c, real=milp.linprog, **kwargs):
+        res = real(c, **kwargs)
+        nits.append(res.nit)
+        return res
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(milp, "linprog", counted)
+        ours = lp_solve(model)
+    status, values, objective, nit = _reference_solve(model)
+    assert ours.status is status
+    assert np.array_equal(ours.values, values, equal_nan=True)
+    assert ours.objective == objective
+    assert nits == [nit]
 
 
 def _segment_models(solve):
@@ -197,17 +202,8 @@ def _segment_models(solve):
 
 
 class TestHighsBackends:
-    """Where SciPy ships its HiGHS bindings, `milp.linprog` calls HiGHS directly;
-    the `scipy.optimize.linprog` fallback must solve every LP the same, bit for bit."""
-
-    def test_direct_call_where_the_bindings_import(self):
-        try:
-            from scipy.optimize._highspy._core import (  # noqa: F401
-                HighsModelStatus, HighsOptions, HighsStatus, MatrixFormat, ObjSense, _Highs)
-        except ImportError:
-            assert milp.linprog is scipy.optimize.linprog
-        else:
-            assert milp.linprog is not scipy.optimize.linprog
+    """`milp.linprog` calls HiGHS directly; `scipy.optimize.linprog`, the
+    reference, must solve every LP the same, bit for bit."""
 
     @pytest.mark.parametrize("seed", range(30))
     def test_random_tu_models(self, seed):
@@ -238,7 +234,8 @@ class TestHighsBackends:
     @pytest.mark.parametrize("A_eq, b_eq", [([[1e20, 1.0]], [1.0]), ([[1.0, 1.0]], [1e31])])
     def test_models_highs_rejects(self, A_eq, b_eq):
         # HiGHS rejects a matrix value of 1e15 or more and a right-hand side of
-        # 1e30, its infinity, or more; linprog reports that model error as status 2
+        # 1e30, its infinity, or more: a model error, which lp_solve reports as
+        # infeasible and linprog as status 2
         _assert_same_solve(model([1.0, 1.0], [0.0, 0.0], [1.0, 1.0], A_eq=A_eq, b_eq=b_eq))
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])

@@ -232,25 +232,25 @@ class TestPlan:
             assert model.names[-1].startswith("u_48_")
 
     def test_windowed_rounds_end_inside_their_windows(self, monkeypatch):
-        envs, bounds = [], []
+        envs, uppers = [], []
         for name in ("concavify_reward", "convexify_sq_dev"):
             monkeypatch.setattr(planner, name, lambda *a, real=getattr(planner, name): (
                 envs.append(real(*a)) or envs[-1]))
         real = milp.linprog
         monkeypatch.setattr(
-            milp, "linprog", lambda *a, **kw: bounds.append(kw["bounds"]) or real(*a, **kw)
+            milp, "linprog", lambda *a, **kw: uppers.append(kw["upper"]) or real(*a, **kw)
         )
         sc = Scenario(T=48, N=120, s=2, delta=6, beta=4, d_max=120.0, a=2.0, c_veh=100)
         for solve in (plan, lambda sc: plan_baseline(sc, ServiceStandard(0.8))):
             envs.clear()
-            bounds.clear()
+            uppers.clear()
             result = solve(sc)
             assert result.nodes >= 2
-            assert len(envs) == len(bounds) == result.nodes
+            assert len(envs) == len(uppers) == result.nodes
             # the last round's supply window: lo_t plus its segments' upper bounds
             env = envs[-1]
             lo, last = env.start, np.cumsum(np.bincount(env.step)) - 1
-            hi = lo + np.bincount(env.step, bounds[-1][3 * sc.T :, 1], sc.T)
+            hi = lo + np.bincount(env.step, uppers[-1][3 * sc.T :], sc.T)
             assert np.array_equal(hi, np.minimum(env.ends[last], 100))
             y = result.supply.y
             # a window side other than 0 or y_max = 100 never holds the final supply
