@@ -21,7 +21,7 @@ import tempfile
 import numpy as np
 
 from . import benchmark, planner, roster as rostering
-from .domain import Scenario, ShiftPlan, demand_vector, reward_vector
+from .domain import Boundary, Scenario, ShiftPlan, demand_vector, reward_vector
 from .milp import export_lp
 from .planner import EconomicStandard, PlanningError, ServiceStandard
 
@@ -254,6 +254,9 @@ def _cmd_compare(config: dict) -> dict[str, str]:
 
 def _cmd_roster(config: dict) -> dict[str, str]:
     scenario: Scenario = config["_scenario"]
+    if scenario.boundary is not Boundary.ZERO_PADDED:
+        raise ConfigError(f"roster takes zero_padded scenarios only, got boundary "
+                          f"{scenario.boundary.value}")
     most = scenario.total_shifts  # no plan has a larger entry
     if most > _ROSTER_SHIFTS:
         raise ConfigError(f"roster takes at most s*N = {_ROSTER_SHIFTS} shifts, got {most}")

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import OptimizeResult
 from scipy.optimize._highspy._core import (HighsModelStatus, HighsOptions, HighsStatus,
                                            MatrixFormat, ObjSense, _Highs)
-from scipy.sparse import csc_matrix
+from scipy.sparse import csc_matrix, csr_matrix
 
 __all__ = [
     "MilpModel",
@@ -154,17 +154,28 @@ def milp_solve(model: MilpModel) -> MilpSolution:
     return replace(sol, values=values, objective=float(model.objective @ values) + model.constant)
 
 
-def _num(x: float) -> str:
-    return f"{x:.12g}"
+def _interleave(*columns: list) -> tuple:
+    """(a0, b0, a1, b1, ...) from equal-length columns a, b, ..."""
+    flat = [None] * (len(columns) * len(columns[0]))
+    for i, column in enumerate(columns):
+        flat[i::len(columns)] = column
+    return tuple(flat)
 
 
-def _linear_expr(cols, coeffs, names: list[str]) -> str:
-    expr = " ".join(
-        f"{'-' if c < 0 else '+'} {_num(abs(c))} {names[j]}"
-        for j, c in zip(cols, coeffs)
-        if c != 0
-    )
-    return expr[2:] if expr.startswith("+ ") else expr
+def _sums(A: csr_matrix, names: list[str], heads: list[str], tails: list[str], empty: str) -> str:
+    """heads[k], row k of A as a sum (' 2 x - 1 y': entries equal to 0
+    skipped, `empty` for a row with none) and tails[k] for every row k, in
+    one format call. Heads, tails and `empty` must hold no bare '%'."""
+    A = A.copy()
+    A.eliminate_zeros()  # explicit zeros and -0.0
+    counts = np.diff(A.indptr)
+    first = np.zeros(A.nnz, dtype=int)
+    first[A.indptr[:-1][counts > 0]] = 2  # a row's first term has no '+ '
+    signs = np.array(["+ ", "- ", "", "- "])[first + (A.data < 0)].tolist()
+    template = "".join(h + (" %s%.12g %s" * n if n else empty) + t
+                       for h, n, t in zip(heads, counts.tolist(), tails))
+    return template % _interleave(signs, np.abs(A.data).tolist(),
+                                  [names[j] for j in A.indices.tolist()])
 
 
 def export_lp(model: MilpModel) -> str:
@@ -172,31 +183,22 @@ def export_lp(model: MilpModel) -> str:
 
     A nonzero objective constant is written as a comment: the LP format has
     no place for it, so the exported optimum differs from milp_solve's by it.
-    An unnamed model's columns are written v1..vn.
+    An unnamed model's columns are written v1..vn. Each section is rendered
+    in a few array passes and one format call.
     """
     names = model.names or [f"v{j}" for j in range(1, model.n_vars + 1)]
-    lines = ["\\ Problem: shiftopt"]
+    empty = " 0 " + (names[0] if names else "x").replace("%", "%%")  # a row needs a term
+    text = "\\ Problem: shiftopt\n"
     if model.constant:
-        lines.append(f"\\ Objective constant: {_num(model.constant)}")
-    lines.append("Maximize")
-    obj = np.flatnonzero(model.objective)
-    expr = _linear_expr(obj, model.objective[obj], names)
-    if not expr and model.n_vars:
-        expr = f"0 {names[0]}"
-    lines.append(f" obj: {expr}".rstrip())
-    lines.append("Subject To")
-    A = model.A_eq.tocsr()
-    empty_row = "0 " + (names[0] if names else "x")  # a row needs at least one term
-    for k in range(A.shape[0]):
-        row = slice(A.indptr[k], A.indptr[k + 1])
-        expr = _linear_expr(A.indices[row], A.data[row], names) or empty_row
-        lines.append(f" c{k}: {expr} = {_num(model.b_eq[k])}")
-    lines.append("Bounds")
-    for j in range(model.n_vars):
-        lines.append(f" {_num(model.lower[j])} <= {names[j]} <= {_num(model.upper[j])}")
+        text += f"\\ Objective constant: {model.constant:.12g}\n"
+    text += "Maximize" + _sums(csr_matrix(model.objective), names, ["\n obj:"], [""],
+                               empty if names else "")
+    text += "\nSubject To" + _sums(model.A_eq.tocsr(), names,
+                                    [f"\n c{k}:" for k in range(len(model.b_eq))],
+                                    [f" = {b:.12g}" for b in model.b_eq.tolist()], empty)
+    text += "\nBounds" + "\n %.12g <= %s <= %.12g" * model.n_vars % _interleave(
+        model.lower.tolist(), names, model.upper.tolist())
     generals = [names[j] for j in np.flatnonzero(model.is_integer)]
     if generals:
-        lines.append("Generals")
-        lines.extend(f" {g}" for g in generals)
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+        text += "\nGenerals" + "".join(f"\n {g}" for g in generals)
+    return text + "\nEnd\n"

@@ -124,7 +124,8 @@ def _named(model: MilpModel, env: Envelopes) -> MilpModel:
     """The segment model with columns named x_t, X_t, z_t and u_t_k (piece k of step t)."""
     steps = range(1, len(env.start) + 1)
     per_step = np.bincount(env.step, minlength=len(env.start)).tolist()
-    seg_names = [f"u_{t}_{k}" for t, n in zip(steps, per_step) for k in range(1, n + 1)]
+    pieces = [f"_{k}" for k in range(1, max(per_step, default=0) + 1)]
+    seg_names = [u + k for t, n in zip(steps, per_step) for u in [f"u_{t}"] for k in pieces[:n]]
     return replace(model, names=[f"{v}_{t}" for v in "xXz" for t in steps] + seg_names)
 
 

@@ -13,7 +13,7 @@ import csv
 import io
 from dataclasses import dataclass
 
-from .domain import Boundary, Scenario, ShiftPlan
+from .domain import Boundary, Scenario, ShiftPlan, supply_curve
 
 __all__ = [
     "ExtendedShift",
@@ -83,12 +83,14 @@ def greedy_assign(plan: ShiftPlan, scenario: Scenario) -> Roster:
     """
     if scenario.boundary is Boundary.CIRCULAR:
         raise ValueError("rostering is defined for zero-padded plans only")
-    if len(plan) != scenario.T:
-        raise ValueError(f"plan length {len(plan)} != T={scenario.T}")
+    # in O(T), before any shift is built (supply_curve checks the plan's length
+    # first): the dealing's first clash is at the first step with z_t > N
+    over = supply_curve(plan, scenario).z > scenario.N
+    if over.any():
+        raise ValueError(f"no driver available at step {over.argmax() + 1}: plan violates z_t <= N")
     length = scenario.delta + scenario.beta
-    # N + 1 starts at one step clash there already; more are never expanded
     shifts = [ExtendedShift(start=t, end=t + length)
-              for t, c in enumerate(plan.x.tolist(), 1) for _ in range(min(c, scenario.N + 1))]
+              for t, c in enumerate(plan.x.tolist(), 1) for _ in range(c)]
     return _deal(shifts, scenario.N, "plan violates z_t <= N")
 
 

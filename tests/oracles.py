@@ -2,7 +2,8 @@
 brute-force plan enumeration, random feasible-plan sampling, a minimal
 CPLEX-LP-format reader, the quadratic scan that defines greedy rostering,
 chord envelopes built one step at a time, the segment model in window form
-built block by block, and demand and reward computed one step at a time."""
+built block by block, demand and reward computed one step at a time, and
+the LP file rendered one term at a time."""
 
 from __future__ import annotations
 
@@ -293,3 +294,46 @@ def solve_parsed_lp(parsed) -> dict[str, float]:
     res = milp(c, constraints=constraints, bounds=Bounds(lb, ub), integrality=integrality)
     assert res.status == 0, res.message
     return dict(zip(names, res.x))
+
+
+def _num(x: float) -> str:
+    return f"{x:.12g}"
+
+
+def _linear_expr(cols, coeffs, names: list[str]) -> str:
+    expr = " ".join(
+        f"{'-' if c < 0 else '+'} {_num(abs(c))} {names[j]}"
+        for j, c in zip(cols, coeffs)
+        if c != 0
+    )
+    return expr[2:] if expr.startswith("+ ") else expr
+
+
+def export_lp_reference(model: MilpModel) -> str:
+    """The CPLEX LP file of `milp.export_lp`, rendered one term at a time."""
+    names = model.names or [f"v{j}" for j in range(1, model.n_vars + 1)]
+    lines = ["\\ Problem: shiftopt"]
+    if model.constant:
+        lines.append(f"\\ Objective constant: {_num(model.constant)}")
+    lines.append("Maximize")
+    obj = np.flatnonzero(model.objective)
+    expr = _linear_expr(obj, model.objective[obj], names)
+    if not expr and model.n_vars:
+        expr = f"0 {names[0]}"
+    lines.append(f" obj: {expr}".rstrip())
+    lines.append("Subject To")
+    A = model.A_eq.tocsr()
+    empty_row = "0 " + (names[0] if names else "x")  # a row needs at least one term
+    for k in range(A.shape[0]):
+        row = slice(A.indptr[k], A.indptr[k + 1])
+        expr = _linear_expr(A.indices[row], A.data[row], names) or empty_row
+        lines.append(f" c{k}: {expr} = {_num(model.b_eq[k])}")
+    lines.append("Bounds")
+    for j in range(model.n_vars):
+        lines.append(f" {_num(model.lower[j])} <= {names[j]} <= {_num(model.upper[j])}")
+    generals = [names[j] for j in np.flatnonzero(model.is_integer)]
+    if generals:
+        lines.append("Generals")
+        lines.extend(f" {g}" for g in generals)
+    lines.append("End")
+    return "\n".join(lines) + "\n"

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shiftopt import Boundary, DemandModel
+from shiftopt import Boundary, DemandModel, planner
 from shiftopt.cli import (
     EXIT_BAD_CONFIG,
     EXIT_INFEASIBLE,
@@ -444,6 +444,22 @@ class TestRosterCommand:
         assert code == EXIT_BAD_CONFIG
         assert capsys.readouterr().err == (
             "error: roster takes at most s*N = 1048576 shifts, got 100000000\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("plan", [[1, 1] + [0] * 10, None], ids=["given-plan", "solved-plan"])
+    def test_circular_scenario_rejected_before_planning(self, tmp_path, capsys, monkeypatch,
+                                                        plan):
+        # used to solve the LP and then exit 5, "roster verification failed"
+        calls = []
+        monkeypatch.setattr(planner, "plan", lambda *args: calls.append(args))
+        config = {"kind": "roster", "scenario": base_scenario(boundary="circular")}
+        if plan is not None:
+            config["plan"] = plan
+        code, out = run(tmp_path, "roster", config)
+        assert calls == []
+        assert code == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err == (
+            "error: roster takes zero_padded scenarios only, got boundary circular\n")
         assert not out.exists()
 
     def test_violating_plan_exit_5(self, tmp_path):

@@ -1,9 +1,12 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from shiftopt import (
     Boundary,
@@ -27,7 +30,7 @@ from shiftopt import (
 from shiftopt import milp, planner
 from shiftopt.planner import EconomicStandard, ServiceStandard
 
-from oracles import parse_lp, solve_parsed_lp
+from oracles import export_lp_reference, parse_lp, solve_parsed_lp
 
 
 def model(obj, lb, ub, integer=None, names=None, A_eq=None, b_eq=(), constant=0.0):
@@ -363,3 +366,55 @@ class TestExportLp:
         m = model([1.0 / 3.0], [0.0], [1.0], names=["x"])
         assert "0.333333333333 x" in export_lp(m)
 
+
+# 0, -0.0, exact integers past 2**53 and magnitudes from 1e-300 to 2**62, either sign
+_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.0 / 3.0, 2.0**53 + 2, 2.0**62]),
+    st.builds(lambda sign, v: sign * v, st.sampled_from([1.0, -1.0]), st.floats(1e-300, 2.0**62)),
+)
+
+
+@st.composite
+def _models(draw):
+    """Random models: explicit and summed-to-zero entries in A_eq, empty rows,
+    no columns, unnamed columns, '%' in names and a constant."""
+    n, m = draw(st.integers(0, 6)), draw(st.integers(0, 5))
+    vec = lambda k: st.lists(_VALUES, min_size=k, max_size=k)
+    bounds = np.sort(np.array(draw(st.lists(st.tuples(_VALUES, _VALUES), min_size=n, max_size=n)),
+                              dtype=float).reshape(n, 2), axis=1)
+    entries = draw(st.lists(st.tuples(st.integers(0, max(m - 1, 0)), st.integers(0, max(n - 1, 0)),
+                                      _VALUES), max_size=3 * n * m))
+    rows, cols, data = zip(*entries) if entries else ((), (), ())
+    names = draw(st.none() | st.lists(st.text("ab_%0", min_size=1, max_size=4),
+                                      min_size=n, max_size=n, unique=True))
+    return MilpModel(objective=draw(vec(n)), lower=bounds[:, 0], upper=bounds[:, 1],
+                     is_integer=draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+                     A_eq=sparse.csc_matrix((data, (rows, cols)), shape=(m, n)),
+                     b_eq=draw(vec(m)), names=names, constant=draw(_VALUES))
+
+
+def _assert_same_bytes(m):
+    """export_lp(m) == export_lp_reference(m), reported at the first differing
+    byte: pytest's own diff of two multi-megabyte files takes minutes."""
+    text, ref = export_lp(m), export_lp_reference(m)
+    if text != ref:
+        k = next((k for k, (a, b) in enumerate(zip(text, ref)) if a != b),
+                 min(len(text), len(ref)))
+        near = slice(max(k - 40, 0), k + 40)
+        pytest.fail(f"first difference at byte {k}: {text[near]!r} != {ref[near]!r}")
+
+
+class TestExportLpBytes:
+    """`export_lp` writes the same bytes as the term-by-term renderer."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_models())
+    def test_random_models(self, m):
+        _assert_same_bytes(m)
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    @pytest.mark.parametrize("week", ["headline_scenario", "large_fleet_scenario"])
+    def test_segment_models(self, week, boundary, request):
+        sc = replace(request.getfixturevalue(week), boundary=boundary)
+        for m in (build_reward_mip(sc), build_deviation_mip(sc, service_standard_supply(sc, 0.8))):
+            _assert_same_bytes(m)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from shiftopt import roster as rostering
 from shiftopt import (
     Boundary,
     ExtendedShift,
@@ -64,6 +66,56 @@ class TestGreedyAssign:
         sc = scenario(boundary=Boundary.CIRCULAR)
         with pytest.raises(ValueError, match="zero-padded"):
             greedy_assign(ShiftPlan(x=np.zeros(8, dtype=int)), sc)
+
+
+def _message(fn, *args):
+    """The message of the ValueError fn(*args) raises, or None."""
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _first_clash(plan, sc):
+    """The message of dealing every shift of the plan, or None if it deals."""
+    length = sc.delta + sc.beta
+    shifts = [ExtendedShift(t, t + length) for t, c in enumerate(plan.x.tolist(), 1)
+              for _ in range(c)]
+    return _message(rostering._deal, shifts, sc.N, "plan violates z_t <= N")
+
+
+class TestZBoundBeforeAnyShift:
+    """greedy_assign rejects z_t > N from the supply curve, at the step where
+    dealing the shifts would first clash, before it builds any shift."""
+
+    @pytest.mark.parametrize("x, N, delta, beta", [
+        ([1, 1, 0, 0], 1, 2, 1),
+        ([3, 0, 0, 0], 2, 1, 0),
+        ([0, 1, 1, 1, 0, 2], 2, 2, 1),
+        ([2, 0, 0, 1, 1, 0, 0, 0], 2, 2, 2),
+        ([0, 0, 1], 0, 1, 0),
+    ])
+    def test_hand_plans(self, x, N, delta, beta):
+        sc = scenario(T=len(x), N=N, delta=delta, beta=beta)
+        plan = ShiftPlan(x=np.array(x))
+        expected = _first_clash(plan, sc)
+        assert expected is not None
+        assert _message(greedy_assign, plan, sc) == expected
+
+    @given(x=st.lists(st.integers(0, 4), min_size=1, max_size=30), N=st.integers(0, 6),
+           delta=st.integers(1, 4), beta=st.integers(0, 3))
+    def test_random_plans(self, x, N, delta, beta):
+        sc = scenario(T=len(x), N=N, delta=min(delta, len(x)), beta=beta)
+        plan = ShiftPlan(x=np.array(x))
+        assert _message(greedy_assign, plan, sc) == _first_clash(plan, sc)
+
+    def test_no_shift_is_built(self, monkeypatch):
+        # 10**6 + 1 starts at one step used to be expanded before the clash
+        monkeypatch.setattr(rostering, "ExtendedShift", lambda *a, **k: pytest.fail("built"))
+        sc = scenario(T=2, N=10**6, c_veh=10**6, delta=1, beta=0)
+        with pytest.raises(ValueError, match="no driver available at step 1: "):
+            greedy_assign(ShiftPlan(x=np.array([10**6 + 1, 0])), sc)
 
 
 class TestGreedyAssignMatchesScan:
