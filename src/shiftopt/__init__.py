@@ -31,10 +31,8 @@ from .milp import (
 )
 from .piecewise import Envelopes, concavify_reward, convexify_sq_dev
 from .planner import (
-    EconomicStandard,
     PlanningError,
     PlanResult,
-    ServiceStandard,
     build_deviation_mip,
     build_reward_mip,
     plan,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Scenario, ShiftPlan, demand_vector, reward_vector, total_reward
+from .domain import DESIRED_MAX, Scenario, ShiftPlan, demand_vector, reward_vector, total_reward
 
 __all__ = [
     "AgnosticOptimum",
@@ -123,7 +123,7 @@ def _squarable(d: np.ndarray, a: float, log_ratio: float) -> np.ndarray:
     the baseline program takes, is not a finite float."""
     with np.errstate(over="ignore", invalid="ignore"):
         y = d / a * log_ratio
-    if not np.all(y <= math.sqrt(np.finfo(float).max)):
+    if not np.all(y <= DESIRED_MAX):
         raise ValueError("desired supply is too large to square in float64")
     return y
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import benchmark, planner, roster as rostering
 from .domain import Boundary, Scenario, ShiftPlan, demand_vector, reward_vector
 from .milp import export_lp
-from .planner import EconomicStandard, PlanningError, ServiceStandard
+from .planner import PlanningError
 
 __all__ = ["main", "read_csv"]
 
@@ -231,16 +231,18 @@ def _cmd_compare(config: dict) -> dict[str, str]:
     opts_cost = _numbers(config, "robustness_costs", positive, "numbers > 0", [0.5, 1.0, 1.5])
     per_driver = _per_driver(config)
     robust = [("service", c) for c in opts_frac] + [("economic", c) for c in opts_cost]
-    standards = [ServiceStandard(c_frac), EconomicStandard(c_cost)] + [
-        ServiceStandard(c) if name == "service" else EconomicStandard(c) for name, c in robust]
+    standards = [("service", c_frac), ("economic", c_cost)] + robust
+    supply = {"service": benchmark.service_standard_supply,
+              "economic": benchmark.economic_standard_supply}
     rows = []
     robust_rows = []
     for n in (int(v) for v in values):
         scenario = _with_drivers(config["_scenario"], n, per_driver)
         opt = benchmark.agnostic_optimum_closed_form(scenario)
         results = [planner.plan(scenario)]
-        try:  # a standard whose desired supply has no float64 square is rejected
-            results += [planner.plan_baseline(scenario, standard) for standard in standards]
+        try:  # a standard's desired supply with no float64 square is rejected
+            results += [planner.plan_baseline(scenario, supply[name](scenario, c))
+                        for name, c in standards]
         except ValueError as exc:
             raise ConfigError(f"N={n}: {exc}") from exc
         gaps = [benchmark.gap(r.true_reward, opt) for r in results]

@@ -47,6 +47,8 @@ class Boundary(enum.Enum):
 # every int64 window bound exact, and T up to 2**20 keeps per-step arrays small
 _COUNT_BOUNDS = (("T", 1, 2**20), ("N", 0, 2**31 - 1), ("s", 1, 2**31 - 1),
                  ("beta", 0, 2**31 - 1), ("c_veh", 0, 2**31 - 1))
+# the largest desired supply whose square, which the baseline program takes, is finite
+DESIRED_MAX = math.sqrt(np.finfo(float).max)
 
 
 @dataclass(frozen=True)

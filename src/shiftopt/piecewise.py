@@ -86,8 +86,8 @@ def _grid(n_steps: int, lo, hi, stride: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _chords(b: np.ndarray, step: np.ndarray, values: np.ndarray, sign: int) -> Envelopes:
-    """Chords through (b[j], values[j]) within each step, merging equal slopes
-    into one chord through the ends of their run."""
+    """Chords through (b[j], values[j]) within each step, merging equal or
+    out-of-order slopes into one chord through the ends of their run."""
     # step t's breakpoints are first[t]..last[t], its chords first[t]-t..last[t]-t-1
     first = np.flatnonzero(np.diff(step, prepend=-1))
     last = np.append(first[1:], len(b)) - 1
@@ -104,12 +104,18 @@ def _chords(b: np.ndarray, step: np.ndarray, values: np.ndarray, sign: int) -> E
             keep[at] = False
             keep[at][_run_starts(slopes[at].tolist())] = True
         j, chord_step = j[keep], chord_step[keep]
-    # a piece runs from breakpoint j to the next piece's, or to its step's last;
-    # a merged run's slope is that of the chord through the run's ends
-    e = np.where(np.append(chord_step[1:] != chord_step[:-1], True),
-                 last[chord_step], np.roll(j, -1))
-    starts, ends = b[j], b[e]
-    slopes = (values[e] - values[j]) / (ends - starts)
+    # a piece runs from breakpoint j to the next piece's, or to its step's last, and
+    # its slope is that of the chord through its ends; a piece whose slope rounding
+    # left out of order with its predecessor's is pooled with it, until none is
+    while True:
+        step_end = np.append(chord_step[1:] != chord_step[:-1], True)
+        e = np.where(step_end, last[chord_step], np.roll(j, -1))
+        starts, ends = b[j], b[e]
+        slopes = (values[e] - values[j]) / (ends - starts)
+        keep = np.append(True, (np.diff(slopes) * sign < 0) | step_end[:-1])
+        if keep.all():
+            break
+        j, chord_step = j[keep], chord_step[keep]
     intercepts = values[j] - slopes * starts
     head = np.flatnonzero(np.diff(chord_step, prepend=-1))
     return Envelopes(step=chord_step, ends=ends, slopes=slopes, intercepts=intercepts,

@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import sparse
 
-from . import benchmark
 from .domain import (
+    DESIRED_MAX,
     Scenario,
     ShiftPlan,
     SupplyCurve,
@@ -39,10 +39,8 @@ from .milp import MilpModel, SolveStatus, milp_solve
 from .piecewise import Envelopes, concavify_reward, convexify_sq_dev
 
 __all__ = [
-    "EconomicStandard",
     "PlanningError",
     "PlanResult",
-    "ServiceStandard",
     "build_deviation_mip",
     "build_reward_mip",
     "plan",
@@ -59,20 +57,6 @@ class PlanningError(Exception):
     def __init__(self, status: SolveStatus, message: str):
         super().__init__(message)
         self.status = status
-
-
-@dataclass(frozen=True)
-class ServiceStandard:
-    """Desired supply serves a constant fraction of demand, 0 < fraction < 1."""
-
-    fraction: float
-
-
-@dataclass(frozen=True)
-class EconomicStandard:
-    """Desired supply maximizes reward minus cost per deployed staff, cost > 0."""
-
-    cost: float
 
 
 @dataclass(frozen=True)
@@ -133,13 +117,14 @@ def _y_max(scenario: Scenario) -> int:
     return max(1, min(scenario.c_veh, scenario.N))
 
 
-def _targets(scenario: Scenario, desired: np.ndarray) -> np.ndarray:
-    desired = np.asarray(desired, dtype=float)
-    if desired.shape != (scenario.T,):
-        raise ValueError(f"desired supply must have length {scenario.T}")
-    if np.any(desired < 0):
-        raise ValueError("desired supply must be non-negative")
-    return desired
+def _targets(scenario: Scenario, desired) -> np.ndarray:
+    try:
+        y = np.asarray(desired, dtype=float)
+    except (TypeError, ValueError):
+        y = np.empty(0)
+    if y.shape != (scenario.T,) or not np.all((0 <= y) & (y <= DESIRED_MAX)):
+        raise ValueError(f"desired supply must be {scenario.T} numbers in [0, {DESIRED_MAX:.4g}]")
+    return y
 
 
 def build_reward_mip(scenario: Scenario) -> MilpModel:
@@ -201,14 +186,6 @@ def plan(scenario: Scenario) -> PlanResult:
     return _solve(scenario, concavify_reward, demand_vector(scenario), scenario.a)
 
 
-def plan_baseline(
-    scenario: Scenario, standard: ServiceStandard | EconomicStandard
-) -> PlanResult:
-    """Solve the deviation-minimizing program against a traditional standard."""
-    if isinstance(standard, ServiceStandard):
-        desired = benchmark.service_standard_supply(scenario, standard.fraction)
-    elif isinstance(standard, EconomicStandard):
-        desired = benchmark.economic_standard_supply(scenario, standard.cost)
-    else:
-        raise TypeError(f"unknown standard {standard!r}")
+def plan_baseline(scenario: Scenario, desired: np.ndarray) -> PlanResult:
+    """Solve the deviation-minimizing program: the feasible plan closest to `desired`."""
     return _solve(scenario, convexify_sq_dev, _targets(scenario, desired))

@@ -15,6 +15,7 @@ from shiftopt import (
     Scenario,
     ShiftPlan,
     agnostic_optimum_closed_form,
+    economic_standard_supply,
     greedy_assign,
     plan,
     plan_baseline,
@@ -27,7 +28,7 @@ from shiftopt import (
     water_fill,
 )
 from shiftopt.milp import SolveStatus
-from shiftopt.planner import EconomicStandard, PlanningError, ServiceStandard
+from shiftopt.planner import PlanningError
 
 from oracles import best_plan_by_enumeration, sample_feasible_plan
 
@@ -164,8 +165,8 @@ def test_criterion_6_dominates_traditional_baselines():
             T=168, N=n, s=5, delta=8, beta=9, d_max=0.75 * n, a=2.0, c_veh=10 * n
         )
         ours = relative_gap(plan(sc).plan, sc).delta
-        service = relative_gap(plan_baseline(sc, ServiceStandard(0.8)).plan, sc).delta
-        economic = relative_gap(plan_baseline(sc, EconomicStandard(1.0)).plan, sc).delta
+        service = relative_gap(plan_baseline(sc, service_standard_supply(sc, 0.8)).plan, sc).delta
+        economic = relative_gap(plan_baseline(sc, economic_standard_supply(sc, 1.0)).plan, sc).delta
         assert ours <= service + 1e-6
         assert ours <= economic + 1e-6
         rows.append((n, ours, service, economic))

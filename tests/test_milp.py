@@ -28,7 +28,6 @@ from shiftopt import (
     total_reward,
 )
 from shiftopt import milp, planner
-from shiftopt.planner import EconomicStandard, ServiceStandard
 
 from oracles import export_lp_reference, parse_lp, solve_parsed_lp
 
@@ -217,11 +216,11 @@ class TestHighsBackends:
     @pytest.mark.parametrize("solve, rounds", [
         (lambda: plan(Scenario(T=48, N=120, s=2, delta=6, beta=4, d_max=120.0, a=2.0,
                                c_veh=100)), 2),
-        (lambda: plan_baseline(Scenario(T=48, N=120, s=2, delta=6, beta=4, d_max=120.0, a=2.0,
-                                        c_veh=100, boundary=Boundary.CIRCULAR),
-                               ServiceStandard(0.8)), 2),
-        (lambda: plan_baseline(Scenario(T=24, N=6, s=2, delta=4, beta=2, d_max=8.0, a=1.5,
-                                        c_veh=5), EconomicStandard(1.0)), 1),
+        (lambda sc=Scenario(T=48, N=120, s=2, delta=6, beta=4, d_max=120.0, a=2.0, c_veh=100,
+                            boundary=Boundary.CIRCULAR):
+            plan_baseline(sc, service_standard_supply(sc, 0.8)), 2),
+        (lambda sc=Scenario(T=24, N=6, s=2, delta=4, beta=2, d_max=8.0, a=1.5, c_veh=5):
+            plan_baseline(sc, economic_standard_supply(sc, 1.0)), 1),
         # the windowed round's optimum rests on a window side: a third, full round
         (lambda: plan(Scenario(T=19, N=143, s=3, delta=5, beta=0, d_max=26.062734815051325,
                                a=2.824821213818114, c_veh=141, boundary=Boundary.CIRCULAR)), 3),
@@ -343,15 +342,12 @@ class TestExportLp:
                           boundary=boundary)
             external = _oracle_plan(export_lp(build_reward_mip(sc)), sc.T)
             assert total_reward(external, sc) == pytest.approx(plan(sc).true_reward, rel=1e-9)
-            for standard, desired in (
-                (ServiceStandard(0.8), service_standard_supply(sc, 0.8)),
-                (EconomicStandard(1.0), economic_standard_supply(sc, 1.0)),
-            ):
+            for desired in (service_standard_supply(sc, 0.8), economic_standard_supply(sc, 1.0)):
                 text = export_lp(build_deviation_mip(sc, desired))
                 assert "\\ Objective constant: -" in text
                 y = supply_curve(_oracle_plan(text, sc.T), sc).y
                 assert np.sum((y - desired) ** 2) == pytest.approx(
-                    plan_baseline(sc, standard).mip_objective, rel=1e-9
+                    plan_baseline(sc, desired).mip_objective, rel=1e-9
                 )
 
     def test_zero_demand_objective_reads_back(self):

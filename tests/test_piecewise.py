@@ -98,6 +98,27 @@ class TestConvexifySqDev:
         assert step_widths(env) == [y_max] * len(targets)
 
 
+class TestOrderedAtLargeValues:
+    """Rounding noise in the chord slopes grows with the values; a piece out
+    of order with its predecessor is pooled with it, so each envelope stays
+    concave or convex and meets the function at every breakpoint."""
+
+    @pytest.mark.parametrize("build, exact", [
+        (lambda: concavify_reward([1e5], 1.0, 2_000_000, 2_010_000),
+         lambda y: reward_vector(y, np.full(len(y), 1e5), 1.0)),
+        (lambda: convexify_sq_dev([1e12], 0, 2000), lambda y: (y - 1e12) ** 2),
+    ])
+    def test_slopes_ordered_and_exact_at_breakpoints(self, build, exact):
+        env = build()
+        assert np.all(np.diff(env.slopes) * env.sign < 0)
+        y = np.arange(env.start[0], env.ends[-1] + 1, dtype=float)
+        reduce = np.min if env.sign > 0 else np.max
+        lines = np.concatenate([reduce(np.outer(env.slopes, part) + env.intercepts[:, None], 0)
+                                for part in np.array_split(y, 200)])
+        want = exact(y)
+        assert np.all(np.abs(lines - want) <= 4 * np.spacing(np.abs(want)))
+
+
 _WINDOWS = st.integers(1, 80).flatmap(lambda y_max: st.tuples(
     st.just(y_max),
     st.lists(st.integers(0, y_max - 1).flatmap(

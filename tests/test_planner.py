@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,15 +17,16 @@ from shiftopt import (
     concavify_reward,
     convexify_sq_dev,
     demand_vector,
+    economic_standard_supply,
     export_lp,
     milp_solve,
     plan,
     plan_baseline,
+    service_standard_supply,
     supply_curve,
     total_reward,
 )
-from shiftopt import benchmark, milp, planner
-from shiftopt.planner import EconomicStandard, ServiceStandard
+from shiftopt import milp, planner
 
 from oracles import best_plan_by_enumeration, window_form_model
 
@@ -213,7 +215,7 @@ class TestPlan:
         monkeypatch.setattr(milp, "linprog", lambda *a, **kw: calls.append(1) or real(*a, **kw))
         sc = small_scenario(boundary=Boundary.CIRCULAR)
         assert plan(sc).nodes == 1
-        assert plan_baseline(sc, ServiceStandard(0.8)).nodes == 1
+        assert plan_baseline(sc, service_standard_supply(sc, 0.8)).nodes == 1
         assert len(calls) == 2
 
     def test_solved_models_are_unnamed_exported_models_named(self, monkeypatch):
@@ -222,8 +224,8 @@ class TestPlan:
         monkeypatch.setattr(planner, "milp_solve", lambda m: names.append(m.names) or real(m))
         sc = Scenario(T=48, N=120, s=2, delta=6, beta=4, d_max=120.0, a=2.0, c_veh=100)
         rounds = sum(solve(sc).nodes for solve in (
-            plan, lambda sc: plan_baseline(sc, ServiceStandard(0.8)),
-            lambda sc: plan_baseline(sc, EconomicStandard(1.0))))
+            plan, lambda sc: plan_baseline(sc, service_standard_supply(sc, 0.8)),
+            lambda sc: plan_baseline(sc, economic_standard_supply(sc, 1.0))))
         assert rounds >= 6 and names == [None] * rounds
         generals = "".join(f" x_{t}\n" for t in range(1, sc.T + 1)) + "End\n"
         for model in (build_reward_mip(sc), build_deviation_mip(sc, demand_vector(sc))):
@@ -241,7 +243,7 @@ class TestPlan:
             milp, "linprog", lambda *a, **kw: uppers.append(kw["upper"]) or real(*a, **kw)
         )
         sc = Scenario(T=48, N=120, s=2, delta=6, beta=4, d_max=120.0, a=2.0, c_veh=100)
-        for solve in (plan, lambda sc: plan_baseline(sc, ServiceStandard(0.8))):
+        for solve in (plan, lambda sc: plan_baseline(sc, service_standard_supply(sc, 0.8))):
             envs.clear()
             uppers.clear()
             result = solve(sc)
@@ -272,7 +274,7 @@ class TestPlan:
                 return env
             monkeypatch.setattr(planner, name, counted)
         sc = Scenario(T=48, N=120, s=2, delta=6, beta=4, d_max=120.0, a=2.0, c_veh=100)
-        rounds = plan(sc).nodes + plan_baseline(sc, ServiceStandard(0.8)).nodes
+        rounds = plan(sc).nodes + plan_baseline(sc, service_standard_supply(sc, 0.8)).nodes
         assert rounds >= 4
         assert len(pieces) == rounds
         assert pieces == columns
@@ -307,13 +309,13 @@ class TestPlan:
 class TestPlanBaseline:
     def test_economic_cost_above_steepness_targets_zero(self):
         sc = small_scenario()
-        result = plan_baseline(sc, EconomicStandard(cost=sc.a + 1))
+        result = plan_baseline(sc, economic_standard_supply(sc, sc.a + 1))
         # target is all-zero, but the total-shift equality still forces s*N shifts
         assert result.plan.total == sc.s * sc.N
 
     def test_service_standard_plan_is_feasible(self):
         sc = small_scenario()
-        result = plan_baseline(sc, ServiceStandard(fraction=0.6))
+        result = plan_baseline(sc, service_standard_supply(sc, 0.6))
         curve = supply_curve(result.plan, sc)
         assert result.plan.total == sc.s * sc.N
         assert curve.y.max() <= sc.c_veh
@@ -321,18 +323,28 @@ class TestPlanBaseline:
 
     def test_true_reward_reported(self):
         sc = small_scenario()
-        result = plan_baseline(sc, ServiceStandard(fraction=0.5))
+        result = plan_baseline(sc, service_standard_supply(sc, 0.5))
         assert result.true_reward == pytest.approx(total_reward(result.plan, sc), abs=1e-12)
 
-    def test_unknown_standard_rejected(self):
-        with pytest.raises(TypeError):
-            plan_baseline(small_scenario(), standard="service")
+    @pytest.mark.parametrize("solve", [plan_baseline, build_deviation_mip])
+    @pytest.mark.parametrize("desired", [
+        [1.0] * 5, [1.0] * 5 + [-1.0], [1.0] * 5 + [math.nan], [1.0] * 5 + [math.inf],
+        [1.0] * 5 + [1e200], [1.0] * 5 + ["a"]],
+        ids=["length", "negative", "nan", "inf", "1e200", "text"])
+    def test_bad_desired_supply_rejected(self, monkeypatch, solve, desired):
+        """One ValueError naming the desired supply, without a warning and
+        before any envelope is built."""
+        monkeypatch.setattr(planner, "convexify_sq_dev", None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="desired supply"):
+                solve(small_scenario(), desired)
 
     def test_baseline_never_beats_reward_plan(self):
         sc = small_scenario(T=12, N=3, s=2, c_veh=6)
         ours = plan(sc)
-        for standard in (ServiceStandard(0.8), EconomicStandard(1.0)):
-            base = plan_baseline(sc, standard)
+        for desired in (service_standard_supply(sc, 0.8), economic_standard_supply(sc, 1.0)):
+            base = plan_baseline(sc, desired)
             assert base.true_reward <= ours.true_reward + 1e-9
 
 
@@ -341,15 +353,14 @@ def _full_and_windowed(sc: Scenario, kind: str):
     if kind == "reward":
         return (milp_solve(build_reward_mip(sc)), lambda x: total_reward(ShiftPlan(x=x), sc),
                 lambda: plan(sc))
-    standard = ServiceStandard(0.8) if kind == "service" else EconomicStandard(1.0)
-    desired = (benchmark.service_standard_supply(sc, 0.8) if kind == "service"
-               else benchmark.economic_standard_supply(sc, 1.0))
+    desired = (service_standard_supply(sc, 0.8) if kind == "service"
+               else economic_standard_supply(sc, 1.0))
 
     def minus_sq_dev(x):
         return -float(((supply_curve(ShiftPlan(x=x), sc).y - desired) ** 2).sum())
 
     return milp_solve(build_deviation_mip(sc, desired)), minus_sq_dev, (
-        lambda: plan_baseline(sc, standard))
+        lambda: plan_baseline(sc, desired))
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import shiftopt
 import shiftopt.cli
-from shiftopt import ServiceStandard
 
 _SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -41,7 +40,7 @@ def test_tracer_wraps_every_target_and_counts(tmp_path):
             assigned = shiftopt.greedy_assign(result.plan, sc)
             balanced = shiftopt.rebalance(assigned, sc.s, trace=swaps)
             assert shiftopt.verify_roster(balanced, result.plan, sc).ok
-            shiftopt.plan_baseline(sc, ServiceStandard(0.8))
+            shiftopt.plan_baseline(sc, shiftopt.benchmark.service_standard_supply(sc, 0.8))
             return shiftopt.cli.main(["export-lp", "--config", str(config),
                                       "--out", str(tmp_path / "out")])
 
