@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -64,9 +63,11 @@ def _load_config(path: str, command: str, kinds: tuple[str, ...]) -> dict:
 
 
 def _atomic_write(out_dir: str, filename: str, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=f".{filename}.")
+    tmp = os.path.join(out_dir, f".{filename}.{os.getpid()}")
+    # created exclusively, with mode 0666 less the umask as a plain open gives
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+        with fh:
             fh.write(text)
         os.replace(tmp, os.path.join(out_dir, filename))
     except BaseException:

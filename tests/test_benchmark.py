@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from shiftopt import (
 )
 
 from shiftopt.benchmark import _total_reward_of_supply, gap
+from shiftopt.domain import reward_vector
 
 from oracles import reward_of_supply_by_loop, sample_feasible_plan
 
@@ -177,7 +179,7 @@ class TestServiceStandard:
         assert reward(y, RewardParams(d=2.0, a=a)) == pytest.approx(c * 2.0, rel=1e-9)
 
     @pytest.mark.parametrize("tiny", [1e-320, 5e-324])
-    def test_subnormal_demand_passes_verification(self, tiny):
+    def test_subnormal_demand_gives_finite_supply(self, tiny):
         y = service_standard_supply(explicit_scenario([2.0, tiny, 0.0], a=2.0), 0.8)
         assert y[0] == pytest.approx(math.log(5.0), abs=1e-12)
         assert 0.0 <= y[1] <= tiny and y[2] == 0.0
@@ -229,8 +231,7 @@ class TestEconomicStandard:
         assert y == pytest.approx((lo + hi) / 2, abs=1e-6)
 
     @pytest.mark.parametrize("tiny", [1e-320, 5e-324])
-    def test_subnormal_demand_passes_verification(self, tiny):
-        # y = d/a * ln(a/c) keeps too few bits at a subnormal d to recheck f'(y) = c
+    def test_subnormal_demand_gives_finite_supply(self, tiny):
         y = economic_standard_supply(explicit_scenario([2.0, tiny, 0.0], a=2.0), 1.0)
         assert y[0] == pytest.approx(math.log(2.0), abs=1e-12)
         assert 0.0 <= y[1] <= tiny and y[2] == 0.0
@@ -244,3 +245,44 @@ class TestEconomicStandard:
     def test_cost_must_be_positive(self):
         with pytest.raises(ValueError):
             economic_standard_supply(explicit_scenario([1.0]), 0.0)
+
+
+def _log_uniform(lo, hi, **kw):
+    return st.floats(math.log10(lo), math.log10(hi), **kw).map(lambda e: 10.0 ** e)
+
+
+class TestStandardsAreClosedForms:
+    """Each standard is its closed form: no check of its own, so it returns a
+    finite supply or raises ValueError on any input float64 can hold."""
+
+    @pytest.mark.parametrize("standard, c_exponents", [
+        (service_standard_supply, (-20, 0)),
+        (economic_standard_supply, (-300, 300)),
+    ], ids=["service", "economic"])
+    @given(d=st.one_of(_log_uniform(1e-300, 1e300), st.sampled_from([0.0, 1e-320, 5e-324])),
+           a=_log_uniform(1e-20, 1e20), e=st.floats(0.0, 1.0))
+    def test_finite_supply_or_value_error(self, standard, c_exponents, d, a, e):
+        lo, hi = c_exponents
+        c = 10.0 ** (lo + (hi - lo) * e)  # log-uniform in [10**lo, 10**hi]
+        sc = explicit_scenario([d, 0.0], a=a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                y = standard(sc, c)
+            except ValueError:
+                return
+        assert y.shape == (2,)
+        assert np.all(np.isfinite(y)) and np.all(y >= 0)
+
+    @given(d=_log_uniform(1e-6, 1e9), a=_log_uniform(1e-2, 1e2), c=st.floats(1e-6, 1 - 1e-6))
+    def test_service_standard_serves_fraction(self, d, a, c):
+        y = service_standard_supply(explicit_scenario([d], a=a), c)
+        served = reward_vector(y, np.array([d]), a)[0]
+        assert abs(served - c * d) <= 1e-9 * max(1.0, c * d)
+
+    @given(d=_log_uniform(1e-6, 1e9), a=_log_uniform(1e-2, 1e2),
+           ratio=_log_uniform(1e-6, 1.0, exclude_max=True))
+    def test_economic_standard_marginal_is_cost(self, d, a, ratio):
+        c = ratio * a
+        y = economic_standard_supply(explicit_scenario([d], a=a), c)[0]
+        assert abs(a * math.exp(-a * y / d) - c) <= 1e-9 * max(1.0, c)

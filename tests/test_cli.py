@@ -121,6 +121,17 @@ class TestPlanCommand:
         assert code == EXIT_IO
         assert [p.name for p in out.iterdir()] == ["plan.csv"]
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_output_modes_follow_umask(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            code, out = run(tmp_path, "plan", {"kind": "plan", "scenario": base_scenario()})
+        finally:
+            os.umask(old)
+        assert code == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == ["plan.csv", "summary.json", "supply.csv"]
+        assert {p.stat().st_mode & 0o777 for p in out.iterdir()} == {mode}
+
     def test_round_trip_csv(self, tmp_path):
         code, out = run(tmp_path, "plan", {"kind": "plan", "scenario": base_scenario()})
         assert code == EXIT_OK
@@ -237,6 +248,24 @@ class TestCompareCommand:
         (_, rows), (_, robust) = outputs[0]
         assert rows[0][1:] == pytest.approx([0.0434, 0.0873, 0.0434], abs=1e-4)
         assert len(robust) == 6
+
+    @pytest.mark.parametrize("d_max, fields, robust_rows", [
+        (1e10, {"service_fraction": 1e-17}, 6),
+        (1e12, {"service_fraction": 0.8, "robustness_fractions": [1e-9]}, 4),
+    ], ids=["tiny-fraction", "tiny-robustness-fraction"])
+    def test_large_demand_small_fraction_runs(self, tmp_path, capsys, d_max, fields, robust_rows):
+        """Used to end in a traceback with exit 1: the service standard rechecked
+        its own closed form, and 1 - c cancelled in float64. The gaps are not
+        checked: at this demand the exact reward loses precision to the same
+        cancellation and a gap can read slightly below 0."""
+        sc = base_scenario(T=24, N=3, s=2, delta=4, beta=2, d_max=d_max, a=2.0, c_veh=3)
+        config = {"kind": "compare_baselines", "scenario": sc, "sweep_values": [3],
+                  "economic_cost": 1.0, **fields}
+        code, out = run(tmp_path, "compare", config)
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert len(read_csv(str(out / "compare.csv"))[1]) == 1
+        assert len(read_csv(str(out / "robustness.csv"))[1]) == robust_rows
 
 
 def _compare_config(**kw):
