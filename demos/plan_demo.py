@@ -15,8 +15,7 @@ scenario = Scenario(
 )
 
 result = plan(scenario)
-print(f"status          : {result.solve_status.value}")
-print(f"LP solves       : {result.nodes}")
+print(f"LP rounds       : {result.nodes}")
 print(f"shifts started  : {result.plan.total} (required {scenario.total_shifts})")
 print(f"max drivers busy: {result.supply.z.max()} (fleet size {scenario.N})")
 print(f"total reward    : {result.true_reward:.4f}")

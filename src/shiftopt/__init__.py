@@ -24,7 +24,6 @@ from .domain import (
 from .milp import (
     MilpModel,
     MilpSolution,
-    SolveStatus,
     export_lp,
     lp_solve,
     milp_solve,

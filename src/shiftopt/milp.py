@@ -5,7 +5,8 @@ equality rows only. The planner's models have a totally unimodular
 constraint matrix and integral bounds and right-hand sides, so every basic
 optimum of the LP relaxation is integral (Hochbaum & Shanthikumar 1990,
 J. ACM 37(4)). `milp_solve` therefore solves the relaxation once with HiGHS
-and checks the optimum for integrality instead of branching.
+and checks the optimum for integrality instead of branching. A model with no
+feasible point raises `PlanningError` where HiGHS reports it.
 
 HiGHS is called through SciPy's private bundled bindings (SciPy >= 1.15),
 in `linprog` only: a separate function because the benchmark hooks it.
@@ -13,7 +14,6 @@ in `linprog` only: a separate function because the benchmark hooks it.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,7 +25,7 @@ from scipy.sparse import csc_matrix, csr_matrix
 __all__ = [
     "MilpModel",
     "MilpSolution",
-    "SolveStatus",
+    "PlanningError",
     "export_lp",
     "lp_solve",
     "milp_solve",
@@ -38,9 +38,8 @@ INT_TOL = 1e-6
 DUAL_TOL = 1e-10
 
 
-class SolveStatus(enum.Enum):
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
+class PlanningError(Exception):
+    """Raised when the model has no feasible point: no plan exists."""
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,6 @@ class MilpModel:
 
 @dataclass(frozen=True)
 class MilpSolution:
-    status: SolveStatus
     values: np.ndarray
     objective: float
     nodes_explored: int  # LP solves
@@ -121,16 +119,15 @@ def linprog(c, *, A_eq, b_eq, lower, upper):
 
 
 def lp_solve(model: MilpModel) -> MilpSolution:
-    """Solve the LP relaxation (integrality ignored) with one HiGHS call."""
+    """Solve the LP relaxation (integrality ignored) with one HiGHS call, or raise
+    PlanningError where HiGHS reports the model infeasible or in error."""
     res = linprog(-model.objective, A_eq=model.A_eq, b_eq=model.b_eq,
                   lower=model.lower, upper=model.upper)
     if res.status in (HighsModelStatus.kInfeasible, HighsModelStatus.kModelError):
-        return MilpSolution(status=SolveStatus.INFEASIBLE, values=np.full(model.n_vars, np.nan),
-                            objective=-np.inf, nodes_explored=1)
+        raise PlanningError("no plan: solver status infeasible")
     if res.status != HighsModelStatus.kOptimal:
         raise RuntimeError(f"LP backend failed: HiGHS model status {res.status.name}")
-    return MilpSolution(status=SolveStatus.OPTIMAL, values=res.x,
-                        objective=model.constant - res.fun, nodes_explored=1)
+    return MilpSolution(values=res.x, objective=model.constant - res.fun, nodes_explored=1)
 
 
 def milp_solve(model: MilpModel) -> MilpSolution:
@@ -141,8 +138,6 @@ def milp_solve(model: MilpModel) -> MilpSolution:
     bounds and right-hand sides. The optimum is never rounded silently.
     """
     sol = lp_solve(model)
-    if sol.status is not SolveStatus.OPTIMAL:
-        return sol
     values = np.rint(sol.values)
     off = np.abs(sol.values - values)
     if np.any(off > INT_TOL):

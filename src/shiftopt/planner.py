@@ -35,7 +35,7 @@ from .domain import (
     total_reward,
     window_ends,
 )
-from .milp import MilpModel, SolveStatus, milp_solve
+from .milp import MilpModel, PlanningError, milp_solve
 from .piecewise import Envelopes, concavify_reward, convexify_sq_dev
 
 __all__ = [
@@ -51,21 +51,12 @@ _COARSE_PIECES = 64  # round 1 splits [0, y_max] into at most this many pieces
 _REACH = 2  # later rounds start at y_t +- _REACH * (round 1's stride)
 
 
-class PlanningError(Exception):
-    """Raised when the solver cannot produce a usable plan."""
-
-    def __init__(self, status: SolveStatus, message: str):
-        super().__init__(message)
-        self.status = status
-
-
 @dataclass(frozen=True)
 class PlanResult:
     plan: ShiftPlan
     supply: SupplyCurve
     mip_objective: float  # chord envelopes at the plan's supply: reward, or total sq. deviation
     true_reward: float
-    solve_status: SolveStatus
     nodes: int  # LP rounds: 1 when y_max <= 64, else 2, or 3 when the windows do not certify
 
 
@@ -157,8 +148,6 @@ def _solve(scenario: Scenario, envelopes: Callable[..., Envelopes], *params) -> 
     def solve(lo, hi, stride=1):
         env = envelopes(*params, lo, hi, stride)
         sol = milp_solve(_segment_model(scenario, env))
-        if sol.status is SolveStatus.INFEASIBLE:
-            raise PlanningError(sol.status, f"no plan: solver status {sol.status.value}")
         return env, sol, env.start + np.bincount(env.step, sol.values[3 * T :], T).astype(np.int64)
 
     env, sol, y = solve(0, y_max, stride)
@@ -176,7 +165,6 @@ def _solve(scenario: Scenario, envelopes: Callable[..., Envelopes], *params) -> 
         supply=supply_curve(plan_vec, scenario),
         mip_objective=sum(env.evaluate(y).tolist()),
         true_reward=total_reward(plan_vec, scenario),
-        solve_status=sol.status,
         nodes=rounds,
     )
 

@@ -101,10 +101,11 @@ class TestPlanCommand:
         assert code == EXIT_BAD_CONFIG
         assert not out.exists()
 
-    def test_infeasible_exit_3(self, tmp_path):
+    def test_infeasible_exit_3(self, tmp_path, capsys):
         sc = base_scenario(T=3, N=1, s=2, delta=2, beta=2, c_veh=1)
         code, out = run(tmp_path, "plan", {"kind": "plan", "scenario": sc})
         assert code == EXIT_INFEASIBLE
+        assert capsys.readouterr().err == "error: no plan: solver status infeasible\n"
         assert not (out / "summary.json").exists()
 
     @pytest.mark.parametrize("N, want", [(2, EXIT_INFEASIBLE), (0, EXIT_OK)])
@@ -183,11 +184,13 @@ class TestSweepCommand:
         assert code == EXIT_BAD_CONFIG
 
     @pytest.mark.parametrize("scale, code", [(True, EXIT_OK), (False, EXIT_INFEASIBLE)])
-    def test_scale_c_veh(self, tmp_path, scale, code):
+    def test_scale_c_veh(self, tmp_path, capsys, scale, code):
         # 6 drivers of 6-step shifts fit in 12 steps only with c_veh raised to 6
         config = {"kind": "sweep_drivers", "scale_c_veh": scale, "sweep_values": [6],
                   "scenario": base_scenario(delta=6, beta=0, d_max=30.0, c_veh=2)}
         assert run(tmp_path, "sweep", config)[0] == code
+        assert capsys.readouterr().err == (
+            "error: no plan: solver status infeasible\n" if code else "")
 
     def test_kind_mismatch_rejected(self, tmp_path):
         code, _ = run(tmp_path, "sweep", {"kind": "plan", "scenario": base_scenario()})
@@ -499,6 +502,16 @@ class TestRosterCommand:
         }
         code, out = run(tmp_path, "roster", config)
         assert code == EXIT_VERIFICATION
+        assert not (out / "roster.csv").exists()
+
+    def test_plan_short_of_s_n_shifts_exit_5(self, tmp_path, capsys):
+        # one shift for 3 drivers of 2: dealt without a clash, then failed by the check
+        sc = {"T": 24, "N": 3, "s": 2, "delta": 4, "beta": 2, "d_max": 3.0, "a": 2.0, "c_veh": 3}
+        code, out = run(tmp_path, "roster", {"kind": "roster", "scenario": sc,
+                                             "plan": [1] + [0] * 23})
+        assert code == EXIT_VERIFICATION
+        assert capsys.readouterr().err == (
+            "error: roster verification failed: not every driver works exactly s shifts\n")
         assert not (out / "roster.csv").exists()
 
 

@@ -14,7 +14,6 @@ from shiftopt import (
     PlanningError,
     Scenario,
     ShiftPlan,
-    SolveStatus,
     build_deviation_mip,
     build_reward_mip,
     economic_standard_supply,
@@ -77,7 +76,6 @@ class TestLpSolve:
     def test_single_bounded_variable(self):
         m = slack_model([1.0], [0.0], [10.0], A_ub=[[1.0]], b_ub=[3.0])
         sol = lp_solve(m)
-        assert sol.status is SolveStatus.OPTIMAL
         assert sol.objective == pytest.approx(3.0, abs=1e-9)
 
     def test_facet_optimum(self):
@@ -95,7 +93,8 @@ class TestLpSolve:
 
     def test_infeasible(self):
         m = slack_model([1.0], [0.0], [1.0], A_ub=[[-1.0]], b_ub=[-2.0])  # v1 >= 2
-        assert lp_solve(m).status is SolveStatus.INFEASIBLE
+        with pytest.raises(PlanningError, match="^no plan: solver status infeasible$"):
+            lp_solve(m)
 
     def test_unbounded(self):
         # every column must be bounded, so no model is unbounded
@@ -107,7 +106,6 @@ class TestMilpSolve:
     def test_integral_relaxation_single_node(self):
         m = model([1.0], [0.0], [5.0], integer=[True])
         sol = milp_solve(m)
-        assert sol.status is SolveStatus.OPTIMAL
         assert sol.objective == pytest.approx(5.0, abs=1e-9)
         assert sol.nodes_explored == 1
 
@@ -120,7 +118,8 @@ class TestMilpSolve:
     def test_infeasible_integer(self):
         m = model([1.0, 1.0], [0.0, 0.0], [3.0, 3.0], integer=[True, True],
                   A_eq=[[1.0, 1.0]], b_eq=[7.0])
-        assert milp_solve(m).status is SolveStatus.INFEASIBLE
+        with pytest.raises(PlanningError, match="^no plan: solver status infeasible$"):
+            milp_solve(m)
 
     def test_unbounded_integers_rejected(self):
         with pytest.raises(ValueError):
@@ -131,11 +130,11 @@ class TestMilpSolve:
         rng = np.random.default_rng(seed)
         problem = _random_tu_problem(rng, n=int(rng.integers(2, 6)), width=int(rng.integers(2, 6)))
         oracle = _enumerate_optimum(problem)
-        sol = milp_solve(slack_model(**problem))
         if oracle is None:
-            assert sol.status is SolveStatus.INFEASIBLE
+            with pytest.raises(PlanningError):
+                milp_solve(slack_model(**problem))
         else:
-            assert sol.status is SolveStatus.OPTIMAL
+            sol = milp_solve(slack_model(**problem))
             assert sol.objective == pytest.approx(oracle, abs=1e-6)
             residual_check(problem, sol.values[:len(problem["obj"])])
 
@@ -146,7 +145,7 @@ class TestMilpSolve:
         b = milp_solve(m)
         assert a.nodes_explored == b.nodes_explored == 1
         assert a.objective == b.objective
-        assert np.array_equal(a.values, b.values, equal_nan=True)
+        assert np.array_equal(a.values, b.values)
 
     def test_solution_invariants(self):
         # max 3 v1 + 2 v2 + 0.5 s.t. v1 + v2 <= 5, v2 - v1 = 1
@@ -160,19 +159,20 @@ class TestMilpSolve:
 
 
 def _reference_solve(model):
-    """lp_solve's answer from `scipy.optimize.linprog(method="highs")`, with
-    lp_solve's options, and the HiGHS iteration count linprog reports."""
+    """`scipy.optimize.linprog(method="highs")` on the model with lp_solve's
+    options: status 0 (optimal) or 2 (infeasible or a model error), the
+    optimum and the HiGHS iteration count."""
     res = scipy.optimize.linprog(
         -model.objective, A_eq=model.A_eq, b_eq=model.b_eq,
         bounds=np.column_stack([model.lower, model.upper]), method="highs",
         options={"dual_feasibility_tolerance": milp.DUAL_TOL, "presolve": False})
-    assert res.status in (0, 2), res.message  # optimal, or infeasible or a model error
-    if res.status == 2:
-        return SolveStatus.INFEASIBLE, np.full(model.n_vars, np.nan), -np.inf, res.nit
-    return SolveStatus.OPTIMAL, res.x, model.constant - res.fun, res.nit
+    assert res.status in (0, 2), res.message
+    return res
 
 
 def _assert_same_solve(model):
+    """lp_solve raises PlanningError exactly where the reference reports
+    status 2, and otherwise returns its optimum; both take the same iterations."""
     nits = []
 
     def counted(c, real=milp.linprog, **kwargs):
@@ -180,14 +180,17 @@ def _assert_same_solve(model):
         nits.append(res.nit)
         return res
 
+    reference = _reference_solve(model)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(milp, "linprog", counted)
-        ours = lp_solve(model)
-    status, values, objective, nit = _reference_solve(model)
-    assert ours.status is status
-    assert np.array_equal(ours.values, values, equal_nan=True)
-    assert ours.objective == objective
-    assert nits == [nit]
+        if reference.status == 2:
+            with pytest.raises(PlanningError, match="^no plan: solver status infeasible$"):
+                lp_solve(model)
+        else:
+            ours = lp_solve(model)
+            assert np.array_equal(ours.values, reference.x)
+            assert ours.objective == model.constant - reference.fun
+    assert nits == [reference.nit]
 
 
 def _segment_models(solve):
@@ -236,8 +239,8 @@ class TestHighsBackends:
     @pytest.mark.parametrize("A_eq, b_eq", [([[1e20, 1.0]], [1.0]), ([[1.0, 1.0]], [1e31])])
     def test_models_highs_rejects(self, A_eq, b_eq):
         # HiGHS rejects a matrix value of 1e15 or more and a right-hand side of
-        # 1e30, its infinity, or more: a model error, which lp_solve reports as
-        # infeasible and linprog as status 2
+        # 1e30, its infinity, or more: a model error, on which lp_solve raises
+        # PlanningError and linprog reports status 2
         _assert_same_solve(model([1.0, 1.0], [0.0, 0.0], [1.0, 1.0], A_eq=A_eq, b_eq=b_eq))
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])

@@ -11,7 +11,6 @@ from shiftopt import (
     PlanningError,
     Scenario,
     ShiftPlan,
-    SolveStatus,
     build_deviation_mip,
     build_reward_mip,
     concavify_reward,
@@ -52,7 +51,6 @@ class TestBuildRewardMip:
         assert result.mip_objective == pytest.approx(0.0, abs=1e-9)
 
     def test_headline_instance(self, headline_scenario, headline_result):
-        assert headline_result.solve_status is SolveStatus.OPTIMAL
         assert headline_result.plan.total == 50
         assert headline_result.supply.z.max() <= 10
 
@@ -61,7 +59,6 @@ class TestBuildDeviationMip:
     def test_zero_target_no_drivers(self):
         sc = small_scenario(N=0)
         sol = milp_solve(build_deviation_mip(sc, np.zeros(sc.T)))
-        assert sol.status is SolveStatus.OPTIMAL
         assert sol.objective == pytest.approx(0.0, abs=1e-9)
 
     def test_reachable_target_gives_zero_deviation(self):
@@ -69,13 +66,11 @@ class TestBuildDeviationMip:
         known = ShiftPlan(x=np.array([1, 0, 0, 1, 0, 0]))
         target = supply_curve(known, sc).y.astype(float)
         sol = milp_solve(build_deviation_mip(sc, target))
-        assert sol.status is SolveStatus.OPTIMAL
         assert -sol.objective == pytest.approx(0.0, abs=1e-9)
 
     def test_front_loaded_target(self):
         sc = Scenario(T=4, N=2, s=1, delta=1, beta=0, d_max=1.0, a=1.0, c_veh=2)
         sol = milp_solve(build_deviation_mip(sc, np.array([2.0, 0.0, 0.0, 0.0])))
-        assert sol.status is SolveStatus.OPTIMAL
         assert -sol.objective == pytest.approx(0.0, abs=1e-9)
         assert np.rint(sol.values[:4]).tolist() == [2, 0, 0, 0]
 
@@ -86,15 +81,20 @@ class TestBuildDeviationMip:
 
 class TestSegmentMatrix:
     """The cumulative-start model and the window-form model built block by
-    block have the same LP status and optimum, and an integral one."""
+    block are both infeasible or have the same optimum, and an integral one."""
 
     @staticmethod
     def _check(scenario, env, build=planner._segment_model):
-        got, want = milp_solve(build(scenario, env)), milp_solve(window_form_model(scenario, env))
-        assert got.status is want.status
-        if want.status is SolveStatus.OPTIMAL:
-            assert math.isclose(got.objective, want.objective, rel_tol=1e-12, abs_tol=1e-12)
-        return got.status
+        """"optimal" or "infeasible", the same for both models."""
+        try:
+            want = milp_solve(window_form_model(scenario, env))
+        except PlanningError:
+            with pytest.raises(PlanningError):
+                milp_solve(build(scenario, env))
+            return "infeasible"
+        got = milp_solve(build(scenario, env))
+        assert math.isclose(got.objective, want.objective, rel_tol=1e-12, abs_tol=1e-12)
+        return "optimal"
 
     @pytest.mark.parametrize("boundary, delta, beta", [
         (Boundary.ZERO_PADDED, 2, 1),
@@ -142,12 +142,12 @@ class TestSegmentMatrix:
             for env in (concavify_reward(d, sc.a, 0, y_max), concavify_reward(d, sc.a, lo, hi),
                         convexify_sq_dev(d, 0, y_max, stride=2), convexify_sq_dev(d, lo, hi)):
                 statuses.add(self._check(sc, env))
-        assert statuses == set(SolveStatus)
+        assert statuses == {"optimal", "infeasible"}
 
     def test_no_vehicles_for_some_drivers_is_infeasible(self):
         sc = small_scenario(c_veh=0)
         env = concavify_reward(demand_vector(sc), sc.a, 0, 1)
-        assert self._check(sc, env) is SolveStatus.INFEASIBLE
+        assert self._check(sc, env) == "infeasible"
         with pytest.raises(PlanningError):
             plan(sc)
 
@@ -303,7 +303,7 @@ class TestPlan:
         sc = Scenario(T=3, N=1, s=2, delta=2, beta=2, d_max=1.0, a=1.0, c_veh=1)
         with pytest.raises(PlanningError) as err:
             plan(sc)
-        assert err.value.status is SolveStatus.INFEASIBLE
+        assert str(err.value) == "no plan: solver status infeasible"
 
 
 class TestPlanBaseline:
@@ -349,9 +349,9 @@ class TestPlanBaseline:
 
 
 def _full_and_windowed(sc: Scenario, kind: str):
-    """(full-model solution, exact objective of a plan as a maximum, windowed solve)."""
+    """(full model, exact objective of a plan as a maximum, windowed solve)."""
     if kind == "reward":
-        return (milp_solve(build_reward_mip(sc)), lambda x: total_reward(ShiftPlan(x=x), sc),
+        return (build_reward_mip(sc), lambda x: total_reward(ShiftPlan(x=x), sc),
                 lambda: plan(sc))
     desired = (service_standard_supply(sc, 0.8) if kind == "service"
                else economic_standard_supply(sc, 1.0))
@@ -359,7 +359,7 @@ def _full_and_windowed(sc: Scenario, kind: str):
     def minus_sq_dev(x):
         return -float(((supply_curve(ShiftPlan(x=x), sc).y - desired) ** 2).sum())
 
-    return milp_solve(build_deviation_mip(sc, desired)), minus_sq_dev, (
+    return build_deviation_mip(sc, desired), minus_sq_dev, (
         lambda: plan_baseline(sc, desired))
 
 
@@ -386,8 +386,10 @@ def test_windowed_solve_matches_full_model(T, y_max, extra_n, s, delta, beta,
     sc = Scenario(T=T, N=N, s=s, delta=min(delta, T), beta=beta, d_max=d_per_driver * N,
                   a=a, c_veh=y_max, boundary=boundary)
     for kind in ("reward", "service", "economic"):
-        full, exact, windowed = _full_and_windowed(sc, kind)
-        if full.status is SolveStatus.INFEASIBLE:
+        model, exact, windowed = _full_and_windowed(sc, kind)
+        try:
+            full = milp_solve(model)
+        except PlanningError:
             with pytest.raises(PlanningError):
                 windowed()
             continue
