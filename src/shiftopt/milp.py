@@ -1,7 +1,7 @@
 """Integer linear models solved as one exact LP, and LP export.
 
 A model is the planner's LP form: maximize over bounded columns subject to
-equality rows only. The planner's models have a totally unimodular
+equality and `<=` rows. The planner's models have a totally unimodular
 constraint matrix and integral bounds and right-hand sides, so every basic
 optimum of the LP relaxation is integral (Hochbaum & Shanthikumar 1990,
 J. ACM 37(4)). `milp_solve` therefore solves the relaxation once with HiGHS
@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import OptimizeResult
-from scipy.optimize._highspy._core import (HighsModelStatus, HighsOptions, HighsStatus,
-                                           MatrixFormat, ObjSense, _Highs)
+from scipy.optimize._highspy._core import (HighsModelStatus, HighsStatus, MatrixFormat, ObjSense,
+                                           _Highs)
 from scipy.sparse import csc_matrix, csr_matrix
 
 __all__ = [
@@ -44,9 +44,9 @@ class PlanningError(Exception):
 
 @dataclass(frozen=True)
 class MilpModel:
-    """max objective·v + constant  s.t.  A_eq v = b_eq, lower <= v <= upper,
-    with v_j integral where is_integer[j]. A model without rows has a 0 x n
-    A_eq. `names`, one per column, are only read by `export_lp`."""
+    """max objective·v + constant  s.t.  row_lower <= A_eq v <= b_eq, lower <= v <= upper, with
+    v_j integral where is_integer[j]. row_lower is b_eq (the default: an equality row) or -inf (a
+    `<=` row). A model without rows has a 0 x n A_eq. `names` are only read by `export_lp`."""
 
     objective: np.ndarray
     lower: np.ndarray
@@ -56,6 +56,7 @@ class MilpModel:
     b_eq: np.ndarray
     names: list[str] | None = None
     constant: float = 0.0
+    row_lower: np.ndarray | None = None
 
     def __post_init__(self):
         n = len(self.objective)
@@ -74,8 +75,12 @@ class MilpModel:
         b = np.asarray(self.b_eq, dtype=float)
         if A.shape[1] != n or b.shape != (A.shape[0],) or not np.isfinite(np.r_[A.data, b]).all():
             raise ValueError("A_eq and b_eq must be finite and match the columns")
+        lo = b if self.row_lower is None else np.asarray(self.row_lower, dtype=float)
+        if lo.shape != b.shape or not np.all((lo == b) | (lo == -np.inf)):
+            raise ValueError("row_lower must equal b_eq or be -inf in each row")
         object.__setattr__(self, "A_eq", A)
         object.__setattr__(self, "b_eq", b)
+        object.__setattr__(self, "row_lower", lo)
 
     @property
     def n_vars(self) -> int:
@@ -89,25 +94,24 @@ class MilpSolution:
     nodes_explored: int  # LP solves
 
 
-def linprog(c, *, A_eq, b_eq, lower, upper):
-    """min c·v  s.t.  A_eq v = b_eq, lower <= v <= upper by HiGHS's dual simplex
+def linprog(c, *, A_eq, b_eq, row_lower, lower, upper):
+    """min c·v  s.t.  row_lower <= A_eq v <= b_eq, lower <= v <= upper by HiGHS's dual simplex
     at DUAL_TOL: HiGHS's model `status`, optimum `x` and `fun` (None unless
     optimal) and iterations `nit`. Its name, `c` first, `A_eq` by keyword and
     `nit` are what the benchmark's `milp.highs` layer wraps and reads."""
-    highs, opts = _Highs(), HighsOptions()
-    opts.output_flag = opts.log_to_console = False
-    opts.simplex_strategy = 1  # dual
-    # presolve costs more than it saves on the planner's models, whose rows
-    # are already tight: without it their LPs solve about 15-30% faster
-    opts.presolve = "off"
-    opts.dual_feasibility_tolerance = DUAL_TOL
-    highs.passOptions(opts)
-    # columns, rows, nonzeros, format, sense, offset, costs, column and row
-    # bounds, CSC arrays (canonical, from MilpModel), integrality (continuous).
-    # This form reads the buffers; a HighsLp's fields copy most arrays entry by entry
+    highs = _Highs()
+    # no presolve: the planner's rows are already tight, and its LPs solve 15-30% faster.
+    # No cost perturbation: with it, chord gains below DUAL_TOL can be left with a ~1e-8
+    # dual infeasibility after the perturbation's cleanup, and the model status kUnknown
+    for option, value in [("output_flag", False), ("simplex_strategy", 1), ("presolve", "off"),
+                          ("dual_feasibility_tolerance", DUAL_TOL),
+                          ("dual_simplex_cost_perturbation_multiplier", 0.0)]:
+        highs.setOptionValue(option, value)
+    # columns, rows, nonzeros, format, sense, offset, costs, column and row bounds, CSC
+    # arrays (canonical, from MilpModel) and integrality (continuous), read as buffers
     m, n = A_eq.shape
     loaded = highs.passModel(n, m, A_eq.nnz, MatrixFormat.kColwise, ObjSense.kMinimize, 0.0,
-                             c, lower, upper, b_eq, b_eq, A_eq.indptr, A_eq.indices,
+                             c, lower, upper, row_lower, b_eq, A_eq.indptr, A_eq.indices,
                              A_eq.data, np.zeros(n, np.int32)) != HighsStatus.kError
     if loaded:  # else HiGHS read a value as infinite: a model error
         highs.run()
@@ -122,7 +126,7 @@ def lp_solve(model: MilpModel) -> MilpSolution:
     """Solve the LP relaxation (integrality ignored) with one HiGHS call, or raise
     PlanningError where HiGHS reports the model infeasible or in error."""
     res = linprog(-model.objective, A_eq=model.A_eq, b_eq=model.b_eq,
-                  lower=model.lower, upper=model.upper)
+                  row_lower=model.row_lower, lower=model.lower, upper=model.upper)
     if res.status in (HighsModelStatus.kInfeasible, HighsModelStatus.kModelError):
         raise PlanningError("no plan: solver status infeasible")
     if res.status != HighsModelStatus.kOptimal:
@@ -190,7 +194,8 @@ def export_lp(model: MilpModel) -> str:
                                empty if names else "")
     text += "\nSubject To" + _sums(model.A_eq.tocsr(), names,
                                     [f"\n c{k}:" for k in range(len(model.b_eq))],
-                                    [f" = {b:.12g}" for b in model.b_eq.tolist()], empty)
+                                    [f" {'=' if lo == b else '<='} {b:.12g}" for lo, b in
+                                     zip(model.row_lower.tolist(), model.b_eq.tolist())], empty)
     text += "\nBounds" + "\n %.12g <= %s <= %.12g" * model.n_vars % _interleave(
         model.lower.tolist(), names, model.upper.tolist())
     generals = [names[j] for j in np.flatnonzero(model.is_integer)]

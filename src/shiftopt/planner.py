@@ -8,8 +8,8 @@ envelope: every piece becomes a segment column u in [0, width] with the
 piece's slope as gain. Over the cumulative starts X_t = x_1 + ... + x_t a
 window sum is X_t - X_j plus a constant, so among the X columns each row has
 one +1 and at most one -1 (a transposed network matrix, whose LP dual is a
-min-cost flow; Ahuja, Hochbaum & Orlin 2003, Mgmt. Sci. 49(7)), and x, z and
-u add one -1 each: the matrix is totally unimodular, so every LP solve
+min-cost flow; Ahuja, Hochbaum & Orlin 2003, Mgmt. Sci. 49(7)), and x and u
+add one -1 each: the matrix is totally unimodular, so every LP solve
 yields an integral optimum. `plan` and `plan_baseline` solve
 a coarse envelope, then per-step windows of the fine one around its optimum
 (proximity scaling for separable concave objectives; Hochbaum 1994, Math. OR
@@ -61,47 +61,47 @@ class PlanResult:
 
 
 def _segment_model(scenario: Scenario, env: Envelopes) -> MilpModel:
-    """max env.sign * sum_t envelope_t(y_t) over plans, with columns x, X, z, u and
-    rows X_t - X_{t-1} - x_t = 0, the window of delta minus step t's segments =
-    lo_t - c_t, the window of delta + beta minus z_t = -c_t (c_t: the multiples of
-    sN a circular window adds), and X_T = sN. y_t is lo_t plus its segments, whose
-    widths stop at min(c_veh, N) >= lo_t."""
+    """max env.sign * sum_t envelope_t(y_t) over plans, with columns x, X, u and rows
+    X_t - X_{t-1} - x_t = 0, the window of delta minus step t's segments = lo_t - c_t,
+    the window of delta + beta <= N - c_t (c_t: the multiples of sN a circular window
+    adds), and X_T = sN: x and u add one -1 each to the network rows over X. y_t
+    is lo_t plus its segments, whose widths stop at min(c_veh, N) >= lo_t."""
     T, N, total = scenario.T, scenario.N, scenario.total_shifts
     widths = env.widths()
     n_seg, t = len(widths), np.arange(T)
     # (rows, columns) of the entries +1, X_t in each row t, and of the entries -1
     plus = [(t, T + t), (T + t, T + t), (2 * T + t, T + t), ([3 * T], [2 * T - 1])]
-    minus = [(t[1:], T - 1 + t[1:]), (t, t), (T + env.step, 3 * T + np.arange(n_seg)),
-             (2 * T + t, 2 * T + t)]
+    minus = [(t[1:], T - 1 + t[1:]), (t, t), (T + env.step, 2 * T + np.arange(n_seg))]
     b_eq = [np.zeros(T)]
     for first, width, lo in ((T, scenario.delta, env.start),
-                             (2 * T, scenario.delta + scenario.beta, 0)):
+                             (2 * T, scenario.delta + scenario.beta, N)):
         j, n = window_ends(scenario, width)
         minus.append((first + t[j > 0], T - 1 + j[j > 0]))
         b_eq.append(lo - n * float(total))
     rows, cols = (np.concatenate(side) for side in zip(*plus, *minus))
     data = np.repeat([1.0, -1.0], [3 * T + 1, len(rows) - 3 * T - 1])
-    A_eq = sparse.csc_matrix((data, (rows, cols)), shape=(3 * T + 1, 3 * T + n_seg))
+    A_eq = sparse.csc_matrix((data, (rows, cols)), shape=(3 * T + 1, 2 * T + n_seg))
     A_eq.eliminate_zeros()  # X_t - X_t, where a circular width is a multiple of T
+    b_eq = np.concatenate(b_eq + [[total]])
     return MilpModel(
-        objective=np.concatenate([np.zeros(3 * T), env.sign * env.slopes]),
-        lower=np.zeros(3 * T + n_seg),
-        upper=np.concatenate([np.full(T, N), np.full(T, total), np.full(T, N),
+        objective=np.concatenate([np.zeros(2 * T), env.sign * env.slopes]),
+        lower=np.zeros(2 * T + n_seg),
+        upper=np.concatenate([np.full(T, N), np.full(T, total),
                               np.clip(min(scenario.c_veh, N) - (env.ends - widths), 0, widths)]),
-        is_integer=np.arange(3 * T + n_seg) < T,
-        A_eq=A_eq,
-        b_eq=np.concatenate(b_eq + [[total]]),
+        is_integer=np.arange(2 * T + n_seg) < T,
+        A_eq=A_eq, b_eq=b_eq,
         constant=env.sign * sum(env.start_value.tolist()),  # sum_t envelope_t(lo_t)
+        row_lower=np.where(np.arange(3 * T + 1) // T == 2, -np.inf, b_eq),  # the cap rows: <=
     )
 
 
 def _named(model: MilpModel, env: Envelopes) -> MilpModel:
-    """The segment model with columns named x_t, X_t, z_t and u_t_k (piece k of step t)."""
+    """The segment model with columns named x_t, X_t and u_t_k (piece k of step t)."""
     steps = range(1, len(env.start) + 1)
     per_step = np.bincount(env.step, minlength=len(env.start)).tolist()
     pieces = [f"_{k}" for k in range(1, max(per_step, default=0) + 1)]
     seg_names = [u + k for t, n in zip(steps, per_step) for u in [f"u_{t}"] for k in pieces[:n]]
-    return replace(model, names=[f"{v}_{t}" for v in "xXz" for t in steps] + seg_names)
+    return replace(model, names=[f"{v}_{t}" for v in "xX" for t in steps] + seg_names)
 
 
 def _y_max(scenario: Scenario) -> int:
@@ -148,7 +148,7 @@ def _solve(scenario: Scenario, envelopes: Callable[..., Envelopes], *params) -> 
     def solve(lo, hi, stride=1):
         env = envelopes(*params, lo, hi, stride)
         sol = milp_solve(_segment_model(scenario, env))
-        return env, sol, env.start + np.bincount(env.step, sol.values[3 * T :], T).astype(np.int64)
+        return env, sol, env.start + np.bincount(env.step, sol.values[2 * T :], T).astype(np.int64)
 
     env, sol, y = solve(0, y_max, stride)
     rounds = 1

@@ -327,7 +327,8 @@ def export_lp_reference(model: MilpModel) -> str:
     for k in range(A.shape[0]):
         row = slice(A.indptr[k], A.indptr[k + 1])
         expr = _linear_expr(A.indices[row], A.data[row], names) or empty_row
-        lines.append(f" c{k}: {expr} = {_num(model.b_eq[k])}")
+        sense = "=" if model.row_lower[k] == model.b_eq[k] else "<="
+        lines.append(f" c{k}: {expr} {sense} {_num(model.b_eq[k])}")
     lines.append("Bounds")
     for j in range(model.n_vars):
         lines.append(f" {_num(model.lower[j])} <= {names[j]} <= {_num(model.upper[j])}")

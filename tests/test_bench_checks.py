@@ -44,6 +44,10 @@ SCENARIOS = {
                                    boundary="circular"),
     # y_max = 80 > 64: the plan comes from a coarse and a windowed round
     "windowed": _scenario(N=80, s=1, delta=6, beta=2, d_max=80.0, a=2.0, c_veh=80),
+    # small-plans seed 37, op 115: chord slopes down to 2.3e-14, below milp.DUAL_TOL;
+    # under HiGHS's cost perturbation its LP ended with model status kUnknown
+    "near-flat-chords": _scenario(T=96, N=20, s=6, delta=6, beta=7, d_max=21.863488,
+                                  a=1.671154, c_veh=20, demand_model="offset_sinusoid"),
 }
 
 

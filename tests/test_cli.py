@@ -108,6 +108,14 @@ class TestPlanCommand:
         assert capsys.readouterr().err == "error: no plan: solver status infeasible\n"
         assert not (out / "summary.json").exists()
 
+    def test_no_vehicles_exit_3(self, tmp_path, capsys):
+        # no vehicle for N = 3 drivers: the supply rows cannot hold
+        sc = base_scenario(T=24, N=3, s=2, delta=4, beta=2, d_max=3.0, a=2.0, c_veh=0)
+        code, out = run(tmp_path, "plan", {"kind": "plan", "scenario": sc})
+        assert code == EXIT_INFEASIBLE
+        assert capsys.readouterr().err == "error: no plan: solver status infeasible\n"
+        assert not (out / "summary.json").exists()
+
     @pytest.mark.parametrize("N, want", [(2, EXIT_INFEASIBLE), (0, EXIT_OK)])
     def test_circular_break_of_2_31_plans(self, tmp_path, capsys, N, want):
         # each extended window wraps the horizon ~1.8e8 times: one entry per start, not per lap

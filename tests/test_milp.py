@@ -7,6 +7,8 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
+from scipy.optimize._highspy._core import (HighsLp, HighsModelStatus, HighsStatus, MatrixFormat,
+                                           _Highs)
 
 from shiftopt import (
     Boundary,
@@ -65,6 +67,15 @@ def slack_model(obj, lb, ub, integer=None, A_ub=(), b_ub=(), A_eq=(), b_eq=(), c
         b_eq=list(b_ub) + list(b_eq),
         constant=constant,
     )
+
+
+def le_model(obj, lb, ub, integer=None, A_ub=(), b_ub=(), A_eq=(), b_eq=(), constant=0.0):
+    """`slack_model`'s problem with its inequality rows as `<=` rows: row_lower -inf."""
+    n, k = len(obj), len(b_ub)
+    m = model(obj, lb, ub, integer, A_eq=np.vstack([np.reshape(A_ub, (k, n)),
+                                                    np.reshape(A_eq, (len(b_eq), n))]),
+              b_eq=np.r_[b_ub, b_eq], constant=constant)
+    return replace(m, row_lower=np.where(np.arange(len(m.b_eq)) < k, -np.inf, m.b_eq))
 
 
 def simple_model():
@@ -130,13 +141,14 @@ class TestMilpSolve:
         rng = np.random.default_rng(seed)
         problem = _random_tu_problem(rng, n=int(rng.integers(2, 6)), width=int(rng.integers(2, 6)))
         oracle = _enumerate_optimum(problem)
-        if oracle is None:
-            with pytest.raises(PlanningError):
-                milp_solve(slack_model(**problem))
-        else:
-            sol = milp_solve(slack_model(**problem))
-            assert sol.objective == pytest.approx(oracle, abs=1e-6)
-            residual_check(problem, sol.values[:len(problem["obj"])])
+        for build in (slack_model, le_model):
+            if oracle is None:
+                with pytest.raises(PlanningError):
+                    milp_solve(build(**problem))
+            else:
+                sol = milp_solve(build(**problem))
+                assert sol.objective == pytest.approx(oracle, abs=1e-6)
+                residual_check(problem, sol.values[:len(problem["obj"])])
 
     def test_determinism(self):
         rng = np.random.default_rng(123)
@@ -159,15 +171,43 @@ class TestMilpSolve:
 
 
 def _reference_solve(model):
-    """`scipy.optimize.linprog(method="highs")` on the model with lp_solve's
-    options: status 0 (optimal) or 2 (infeasible or a model error), the
-    optimum and the HiGHS iteration count."""
-    res = scipy.optimize.linprog(
-        -model.objective, A_eq=model.A_eq, b_eq=model.b_eq,
+    """HiGHS on the model passed as a `HighsLp`, with lp_solve's options set
+    one by one: `status` (optimal, or 2 where HiGHS reports the model
+    infeasible or in error), the optimum `x` and `fun` and iterations `nit`.
+    `scipy.optimize.linprog`, given the `<=` rows as A_ub, must report the
+    same status and, within 1e-9 relative, the same optimum."""
+    A, ub = model.A_eq, model.row_lower == -np.inf
+    lp = HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = model.n_vars
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(model.b_eq)
+    lp.a_matrix_.format_ = MatrixFormat.kColwise
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = -model.objective, model.lower, model.upper
+    lp.row_lower_, lp.row_upper_ = model.row_lower, model.b_eq
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = A.indptr, A.indices, A.data
+    highs = _Highs()
+    for option, value in [("output_flag", False), ("simplex_strategy", 1), ("presolve", "off"),
+                          ("dual_feasibility_tolerance", milp.DUAL_TOL),
+                          ("dual_simplex_cost_perturbation_multiplier", 0.0)]:
+        assert highs.setOptionValue(option, value) == HighsStatus.kOk
+    loaded = highs.passModel(lp) != HighsStatus.kError
+    if loaded:
+        highs.run()
+    status = highs.getModelStatus() if loaded else HighsModelStatus.kModelError
+    assert status in (HighsModelStatus.kOptimal, HighsModelStatus.kInfeasible,
+                      HighsModelStatus.kModelError), status
+    info, optimal = highs.getInfo(), status == HighsModelStatus.kOptimal
+    ref = scipy.optimize.OptimizeResult(
+        status=0 if optimal else 2, nit=max(info.simplex_iteration_count, 0),
+        x=np.array(highs.getSolution().col_value) if optimal else None,
+        fun=info.objective_function_value if optimal else None)
+    second = scipy.optimize.linprog(
+        -model.objective, A_ub=A[ub], b_ub=model.b_eq[ub], A_eq=A[~ub], b_eq=model.b_eq[~ub],
         bounds=np.column_stack([model.lower, model.upper]), method="highs",
         options={"dual_feasibility_tolerance": milp.DUAL_TOL, "presolve": False})
-    assert res.status in (0, 2), res.message
-    return res
+    assert second.status == ref.status, second.message
+    if optimal:
+        assert math.isclose(second.fun, ref.fun, rel_tol=1e-9, abs_tol=1e-9)
+    return ref
 
 
 def _assert_same_solve(model):
@@ -215,6 +255,7 @@ class TestHighsBackends:
         rng = np.random.default_rng(seed)
         problem = _random_tu_problem(rng, n=int(rng.integers(2, 6)), width=int(rng.integers(2, 6)))
         _assert_same_solve(slack_model(**problem))
+        _assert_same_solve(le_model(**problem))
 
     @pytest.mark.parametrize("solve, rounds", [
         (lambda: plan(Scenario(T=48, N=120, s=2, delta=6, beta=4, d_max=120.0, a=2.0,
@@ -333,6 +374,17 @@ class TestExportLp:
         with pytest.raises(ValueError, match="A_eq and b_eq"):
             model([1.0, 1.0], [0.0, 0.0], [1.0, 1.0], A_eq=[[1.0, 1.0]], b_eq=[1.0, 2.0])
 
+    def test_rows_with_no_lower_side_are_written_le(self):
+        m = model([1.0, 1.0], [0.0, 0.0], [3.0, 3.0], A_eq=[[1.0, 1.0], [1.0, -1.0]],
+                  b_eq=[2.0, 1.0])
+        m = replace(m, row_lower=[2.0, -math.inf])
+        assert export_lp(m).splitlines()[4:6] == [" c0: 1 v1 + 1 v2 = 2", " c1: 1 v1 - 1 v2 <= 1"]
+        assert lp_solve(m).objective == pytest.approx(2.0, abs=1e-9)
+        with pytest.raises(ValueError, match="row_lower"):
+            replace(m, row_lower=[2.0, 0.0])  # a ranged row
+        with pytest.raises(ValueError, match="row_lower"):
+            replace(m, row_lower=[-math.inf])
+
     def test_integer_listed_under_generals(self):
         m = model([1.0], [0.0], [3.0], integer=[True], names=["n_shifts"])
         text = export_lp(m)
@@ -376,7 +428,7 @@ _VALUES = st.one_of(
 @st.composite
 def _models(draw):
     """Random models: explicit and summed-to-zero entries in A_eq, empty rows,
-    no columns, unnamed columns, '%' in names and a constant."""
+    `<=` rows, no columns, unnamed columns, '%' in names and a constant."""
     n, m = draw(st.integers(0, 6)), draw(st.integers(0, 5))
     vec = lambda k: st.lists(_VALUES, min_size=k, max_size=k)
     bounds = np.sort(np.array(draw(st.lists(st.tuples(_VALUES, _VALUES), min_size=n, max_size=n)),
@@ -386,10 +438,13 @@ def _models(draw):
     rows, cols, data = zip(*entries) if entries else ((), (), ())
     names = draw(st.none() | st.lists(st.text("ab_%0", min_size=1, max_size=4),
                                       min_size=n, max_size=n, unique=True))
+    b = np.array(draw(vec(m)), dtype=float)
+    upper_only = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)), dtype=bool)
     return MilpModel(objective=draw(vec(n)), lower=bounds[:, 0], upper=bounds[:, 1],
                      is_integer=draw(st.lists(st.booleans(), min_size=n, max_size=n)),
                      A_eq=sparse.csc_matrix((data, (rows, cols)), shape=(m, n)),
-                     b_eq=draw(vec(m)), names=names, constant=draw(_VALUES))
+                     b_eq=b, names=names, constant=draw(_VALUES),
+                     row_lower=np.where(upper_only, -np.inf, b))
 
 
 def _assert_same_bytes(m):

@@ -27,7 +27,7 @@ from shiftopt import (
 )
 from shiftopt import milp, planner
 
-from oracles import best_plan_by_enumeration, window_form_model
+from oracles import best_plan_by_enumeration, parse_lp, solve_parsed_lp, window_form_model
 
 
 def small_scenario(**kw):
@@ -40,7 +40,7 @@ class TestBuildRewardMip:
     def test_structural_variable_count(self):
         sc = Scenario(T=4, N=1, s=1, delta=2, beta=1, d_max=1.0, a=1.0, c_veh=1)
         model = build_reward_mip(sc)
-        assert model.n_vars == 16  # x, X, z and one segment per step
+        assert model.n_vars == 12  # x, X and one segment per step
         assert sum(model.is_integer) == 4
 
     def test_no_drivers_means_zero_plan(self):
@@ -158,8 +158,8 @@ class TestSegmentMatrix:
         models = [build_reward_mip(Scenario(T=12, N=2, s=1, delta=4, beta=beta, d_max=3.0,
                                             a=1.0, c_veh=2, boundary=boundary))
                   for beta in (0, 10, 2**31 - 1)]
-        nnz, n_seg = [m.A_eq.nnz for m in models], models[0].n_vars - 3 * 12
-        assert max(nnz) == nnz[0] <= 8 * 12 + n_seg and nnz[1] == nnz[2]
+        nnz, n_seg = [m.A_eq.nnz for m in models], models[0].n_vars - 2 * 12
+        assert max(nnz) == nnz[0] <= 7 * 12 + n_seg and nnz[1] == nnz[2]
         if boundary is Boundary.CIRCULAR:  # no width here is a multiple of T
             assert nnz[0] == nnz[1]
 
@@ -167,8 +167,8 @@ class TestSegmentMatrix:
         """T = delta = 2**20 builds without materialising a T x T window."""
         sc = Scenario(T=2**20, N=1, s=1, delta=2**20, beta=0, d_max=1.0, a=1.0, c_veh=1)
         model = build_reward_mip(sc)
-        assert model.A_eq.shape == (3 * sc.T + 1, 4 * sc.T)
-        assert model.A_eq.nnz == 7 * sc.T
+        assert model.A_eq.shape == (3 * sc.T + 1, 3 * sc.T)
+        assert model.A_eq.nnz == 6 * sc.T
 
 
 class TestPlan:
@@ -202,6 +202,31 @@ class TestPlan:
                 result = plan(sc)
                 assert result.true_reward == pytest.approx(oracle, abs=1e-6)
 
+    def test_near_flat_chords_match_the_window_form(self):
+        # small-plans seed 37, op 115: chord slopes down to 2.3e-14, below milp.DUAL_TOL;
+        # under HiGHS's cost perturbation its LP ended with model status kUnknown
+        sc = Scenario(T=96, N=20, s=6, delta=6, beta=7, d_max=21.863488, a=1.671154, c_veh=20,
+                      demand_model=DemandModel.OFFSET_SINUSOID)
+        want = milp_solve(window_form_model(sc, concavify_reward(demand_vector(sc), sc.a, 0, 20)))
+        result = plan(sc)
+        assert result.nodes == 1
+        assert math.isclose(result.mip_objective, want.objective, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("s, want", [(1, [0, 0, 0, 1, 0, 1, 0, 1, 0, 0, 0, 0]), (2, None)])
+    def test_circular_extended_shift_of_the_whole_horizon(self, s, want):
+        # delta + beta = T: every cap row is X_t - X_t <= N - sN, a row without entries
+        sc = Scenario(T=12, N=3, s=s, delta=4, beta=8, d_max=6.0, a=1.5, c_veh=3,
+                      boundary=Boundary.CIRCULAR)
+        text = export_lp(build_reward_mip(sc))
+        assert f" c24: 0 x_1 <= {3 - 3 * s}" in text.splitlines()
+        if want is None:
+            with pytest.raises(PlanningError, match="^no plan: solver status infeasible$"):
+                plan(sc)
+        else:
+            assert plan(sc).plan.x.tolist() == want
+            values = solve_parsed_lp(parse_lp(text))
+            assert [round(values[f"x_{t}"]) for t in range(1, 13)] == want
+
     def test_break_past_horizon_plans_as_one_ending_at_it(self):
         # a zero-padded window wider than T holds the same starts as one of width T
         far, near = (plan(Scenario(T=24, N=3, s=1, delta=4, beta=beta, d_max=6.0, a=1.5,
@@ -230,7 +255,7 @@ class TestPlan:
         generals = "".join(f" x_{t}\n" for t in range(1, sc.T + 1)) + "End\n"
         for model in (build_reward_mip(sc), build_deviation_mip(sc, demand_vector(sc))):
             assert export_lp(model).split("Generals\n")[1] == generals
-            assert model.names[: 3 * sc.T : sc.T] == ["x_1", "X_1", "z_1"]
+            assert model.names[: 2 * sc.T : sc.T] == ["x_1", "X_1"]
             assert model.names[-1].startswith("u_48_")
 
     def test_windowed_rounds_end_inside_their_windows(self, monkeypatch):
@@ -252,7 +277,7 @@ class TestPlan:
             # the last round's supply window: lo_t plus its segments' upper bounds
             env = envs[-1]
             lo, last = env.start, np.cumsum(np.bincount(env.step)) - 1
-            hi = lo + np.bincount(env.step, uppers[-1][3 * sc.T :], sc.T)
+            hi = lo + np.bincount(env.step, uppers[-1][2 * sc.T :], sc.T)
             assert np.array_equal(hi, np.minimum(env.ends[last], 100))
             y = result.supply.y
             # a window side other than 0 or y_max = 100 never holds the final supply
@@ -266,7 +291,7 @@ class TestPlan:
         pieces, columns = [], []
         real_linprog = milp.linprog
         monkeypatch.setattr(milp, "linprog", lambda c, *a, **kw: (
-            columns.append(len(c) - 3 * sc.T) or real_linprog(c, *a, **kw)))
+            columns.append(len(c) - 2 * sc.T) or real_linprog(c, *a, **kw)))
         for name in ("concavify_reward", "convexify_sq_dev"):
             def counted(*args, real=getattr(planner, name)):
                 env = real(*args)
