@@ -21,7 +21,6 @@ __all__ = [
     "GapReport",
     "agnostic_optimum_closed_form",
     "economic_standard_supply",
-    "gap",
     "relative_gap",
     "service_standard_supply",
     "water_fill",

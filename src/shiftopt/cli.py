@@ -40,6 +40,16 @@ class ConfigError(Exception):
     pass
 
 
+class RosterFailure(Exception):
+    def __init__(self, detail: str):
+        super().__init__(f"roster verification failed: {detail}")
+
+
+# the exit code of each failure that main reports as one `error: ...` line
+_EXIT_CODES = {ConfigError: EXIT_BAD_CONFIG, PlanningError: EXIT_INFEASIBLE, OSError: EXIT_IO,
+               RosterFailure: EXIT_VERIFICATION}
+
+
 def _load_config(path: str, command: str, kinds: tuple[str, ...]) -> dict:
     """The config at path, with its Scenario, if its kind is one that command takes."""
     try:
@@ -285,10 +295,6 @@ def _cmd_export_lp(config: dict) -> dict[str, str]:
     return {"model.lp": export_lp(planner.build_reward_mip(scenario))}
 
 
-class RosterFailure(Exception):
-    pass
-
-
 # command: (handler, the config kinds it accepts)
 _COMMANDS = {
     "plan": (_cmd_plan, ("plan",)),
@@ -317,18 +323,9 @@ def main(argv: list[str] | None = None) -> int:
     handler, kinds = _COMMANDS[args.command]
     try:
         _write_all(args.out, handler(_load_config(args.config, args.command, kinds)))
-    except ConfigError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    except PlanningError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except RosterFailure as exc:
-        print(f"error: roster verification failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
     return EXIT_OK
 
 

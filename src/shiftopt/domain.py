@@ -21,10 +21,8 @@ __all__ = [
     "SupplyCurve",
     "demand_vector",
     "reward",
-    "reward_vector",
     "supply_curve",
     "total_reward",
-    "window_ends",
 ]
 
 

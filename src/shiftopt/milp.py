@@ -36,6 +36,13 @@ INT_TOL = 1e-6
 # gains up to that size unused, up to ~1e-8 of the objective where the
 # reward saturates
 DUAL_TOL = 1e-10
+# (option, value) pairs that linprog sets on HiGHS; each must return kOk. No presolve: the
+# planner's rows are already tight, and its LPs solve 15-30% faster. No cost perturbation:
+# with it, chord gains below DUAL_TOL can be left with a ~1e-8 dual infeasibility after the
+# perturbation's cleanup, and the model status kUnknown
+HIGHS_OPTIONS = (("output_flag", False), ("simplex_strategy", 1), ("presolve", "off"),
+                 ("dual_feasibility_tolerance", DUAL_TOL),
+                 ("dual_simplex_cost_perturbation_multiplier", 0.0))
 
 
 class PlanningError(Exception):
@@ -96,17 +103,13 @@ class MilpSolution:
 
 def linprog(c, *, A_eq, b_eq, row_lower, lower, upper):
     """min c·v  s.t.  row_lower <= A_eq v <= b_eq, lower <= v <= upper by HiGHS's dual simplex
-    at DUAL_TOL: HiGHS's model `status`, optimum `x` and `fun` (None unless
-    optimal) and iterations `nit`. Its name, `c` first, `A_eq` by keyword and
-    `nit` are what the benchmark's `milp.highs` layer wraps and reads."""
+    with HIGHS_OPTIONS (RuntimeError naming an option HiGHS rejects): HiGHS's model `status`,
+    optimum `x` and `fun` (None unless optimal) and iterations `nit`. Its name, `c` first,
+    `A_eq` by keyword and `nit` are what the benchmark's `milp.highs` layer wraps and reads."""
     highs = _Highs()
-    # no presolve: the planner's rows are already tight, and its LPs solve 15-30% faster.
-    # No cost perturbation: with it, chord gains below DUAL_TOL can be left with a ~1e-8
-    # dual infeasibility after the perturbation's cleanup, and the model status kUnknown
-    for option, value in [("output_flag", False), ("simplex_strategy", 1), ("presolve", "off"),
-                          ("dual_feasibility_tolerance", DUAL_TOL),
-                          ("dual_simplex_cost_perturbation_multiplier", 0.0)]:
-        highs.setOptionValue(option, value)
+    for option, value in HIGHS_OPTIONS:  # a rejected option returns kError, and raises nothing
+        if highs.setOptionValue(option, value) != HighsStatus.kOk:
+            raise RuntimeError(f"HiGHS rejected option {option} = {value!r}")
     # columns, rows, nonzeros, format, sense, offset, costs, column and row bounds, CSC
     # arrays (canonical, from MilpModel) and integrality (continuous), read as buffers
     m, n = A_eq.shape

@@ -35,11 +35,10 @@ from .domain import (
     total_reward,
     window_ends,
 )
-from .milp import MilpModel, PlanningError, milp_solve
+from .milp import MilpModel, PlanningError, milp_solve  # noqa: F401 (the error plan raises)
 from .piecewise import Envelopes, concavify_reward, convexify_sq_dev
 
 __all__ = [
-    "PlanningError",
     "PlanResult",
     "build_deviation_mip",
     "build_reward_mip",

@@ -107,6 +107,12 @@ class TestLpSolve:
         with pytest.raises(PlanningError, match="^no plan: solver status infeasible$"):
             lp_solve(m)
 
+    def test_option_highs_rejects_raises(self, monkeypatch):
+        # HiGHS returns kError for an unknown option without raising
+        monkeypatch.setattr(milp, "HIGHS_OPTIONS", milp.HIGHS_OPTIONS + (("no_such_option", 1),))
+        with pytest.raises(RuntimeError, match="^HiGHS rejected option no_such_option = 1$"):
+            lp_solve(simple_model())
+
     def test_unbounded(self):
         # every column must be bounded, so no model is unbounded
         with pytest.raises(ValueError):
@@ -185,9 +191,7 @@ def _reference_solve(model):
     lp.row_lower_, lp.row_upper_ = model.row_lower, model.b_eq
     lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = A.indptr, A.indices, A.data
     highs = _Highs()
-    for option, value in [("output_flag", False), ("simplex_strategy", 1), ("presolve", "off"),
-                          ("dual_feasibility_tolerance", milp.DUAL_TOL),
-                          ("dual_simplex_cost_perturbation_multiplier", 0.0)]:
+    for option, value in milp.HIGHS_OPTIONS:
         assert highs.setOptionValue(option, value) == HighsStatus.kOk
     loaded = highs.passModel(lp) != HighsStatus.kError
     if loaded:
