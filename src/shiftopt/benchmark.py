@@ -128,10 +128,10 @@ def _squarable(d: np.ndarray, a: float, log_ratio: float) -> np.ndarray:
 
 
 def service_standard_supply(scenario: Scenario, c_frac: float) -> np.ndarray:
-    """Supply d/a * ln(1/(1-c)), serving a fraction c of demand at every step."""
+    """Supply d/a * ln(1/(1-c)), as -log1p(-c), serving a fraction c of demand at every step."""
     if not 0 < c_frac < 1:
         raise ValueError("service fraction must lie in (0, 1)")
-    return _squarable(demand_vector(scenario), scenario.a, math.log(1.0 / (1.0 - c_frac)))
+    return _squarable(demand_vector(scenario), scenario.a, -math.log1p(-c_frac))
 
 
 def economic_standard_supply(scenario: Scenario, c_cost: float) -> np.ndarray:

@@ -208,22 +208,24 @@ def demand_vector(scenario: Scenario) -> np.ndarray:
 
 
 def reward(y: float, p: RewardParams) -> float:
-    """Rides served with supply y: d * (1 - exp(-a*y/d)); 0 when d = 0."""
+    """Rides served with supply y: d * (1 - exp(-a*y/d)), as -d * expm1(-a*y/d), which
+    keeps its digits where a*y/d is small; 0 when d = 0."""
     if y < 0:
         raise ValueError("supply must be >= 0")
     if p.d == 0:
         return 0.0
-    return p.d * (1.0 - math.exp(-p.a * y / p.d))
+    return p.d * -math.expm1(-p.a * y / p.d)
 
 
 def reward_vector(y, d, a: float) -> np.ndarray:
-    """The reward at every step: d_t * (1 - exp(-a*y_t/d_t)), 0 where d_t = 0."""
+    """The reward at every step: d_t * (1 - exp(-a*y_t/d_t)), as `reward` takes it; 0 where
+    d_t = 0."""
     y, d = np.asarray(y, dtype=float), np.asarray(d, dtype=float)
     out = np.zeros_like(y)
     on = d > 0
     # a*y/d overflows to inf for a subnormal d_t, and the reward is then d_t
     with np.errstate(over="ignore"):
-        out[on] = d[on] * (1.0 - np.exp(-a * y[on] / d[on]))
+        out[on] = d[on] * -np.expm1(-a * y[on] / d[on])
     return out
 
 

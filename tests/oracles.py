@@ -196,7 +196,7 @@ def total_reward_by_loop(plan: ShiftPlan, scenario: Scenario) -> float:
 def reward_chords(d: float, a: float, breakpoints):
     """step_chords of the reward d * (1 - exp(-a*y/d)), 0 when d = 0."""
     y = np.asarray(breakpoints, dtype=float)
-    values = np.zeros_like(y) if d == 0 else d * (1.0 - np.exp(-a * y / d))
+    values = np.zeros_like(y) if d == 0 else d * -np.expm1(-a * y / d)
     return step_chords(breakpoints, values, 1)
 
 

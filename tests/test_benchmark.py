@@ -171,6 +171,12 @@ class TestServiceStandard:
         sc = explicit_scenario([5.0], a=2.0)
         assert service_standard_supply(sc, 1e-9)[0] == pytest.approx(0.0, abs=1e-8)
 
+    @pytest.mark.parametrize("c", [1e-17, 1e-10])
+    def test_tiny_fraction_without_cancellation(self, c):
+        # ln(1/(1-c)) is 0 at c = 1e-17, where 1 - c rounds to 1, and 8e-8 too large at 1e-10
+        y = service_standard_supply(explicit_scenario([2.0], a=2.0), c)[0]
+        assert y == pytest.approx(c + c * c / 2, rel=1e-15, abs=0)
+
     def test_root_of_defining_equation(self):
         a, c = 2.0, 0.8
         sc = explicit_scenario([2.0], a=a)

@@ -266,9 +266,7 @@ class TestCompareCommand:
     ], ids=["tiny-fraction", "tiny-robustness-fraction"])
     def test_large_demand_small_fraction_runs(self, tmp_path, capsys, d_max, fields, robust_rows):
         """Used to end in a traceback with exit 1: the service standard rechecked
-        its own closed form, and 1 - c cancelled in float64. The gaps are not
-        checked: at this demand the exact reward loses precision to the same
-        cancellation and a gap can read slightly below 0."""
+        its own closed form, and 1 - c cancelled in float64."""
         sc = base_scenario(T=24, N=3, s=2, delta=4, beta=2, d_max=d_max, a=2.0, c_veh=3)
         config = {"kind": "compare_baselines", "scenario": sc, "sweep_values": [3],
                   "economic_cost": 1.0, **fields}
@@ -277,6 +275,26 @@ class TestCompareCommand:
         assert capsys.readouterr().err == ""
         assert len(read_csv(str(out / "compare.csv"))[1]) == 1
         assert len(read_csv(str(out / "robustness.csv"))[1]) == robust_rows
+
+
+class TestGapWithoutCancellation:
+    """With demand far above the fleet, 1 - exp(-a*y/d) cancelled in float64: the exact
+    reward could exceed the shift-agnostic bound, and a gap read below 0."""
+
+    @pytest.mark.parametrize("d_max", [1e10, 1e12])
+    def test_plan_and_compare_gaps_are_not_negative(self, tmp_path, d_max):
+        sc = base_scenario(T=24, N=3, s=2, delta=4, beta=2, d_max=d_max, a=2.0, c_veh=3)
+        for name in ("plan", "compare"):
+            (tmp_path / name).mkdir()
+        code, out = run(tmp_path / "plan", "plan", {"kind": "plan", "scenario": sc})
+        assert code == EXIT_OK
+        assert json.loads((out / "summary.json").read_text())["relative_gap"] >= 0
+        code, out = run(tmp_path / "compare", "compare", {
+            "kind": "compare_baselines", "scenario": sc, "sweep_values": [3],
+            "service_fraction": 0.8, "economic_cost": 1.0})
+        assert code == EXIT_OK
+        (_, rows), (_, robust) = (read_csv(str(out / f)) for f in ("compare.csv", "robustness.csv"))
+        assert min(rows[0][1:] + [row[-1] for row in robust]) >= 0
 
 
 def _compare_config(**kw):

@@ -1,3 +1,4 @@
+import decimal
 import json
 import math
 import warnings
@@ -182,6 +183,18 @@ class TestReward:
         exact = np.array([reward(yi, RewardParams(d=di, a=a)) for yi, di in pairs])
         # np.exp and math.exp may differ in the last bit: d * ulp(1) after 1 - exp
         assert np.all(np.abs(reward_vector(y, d, a) - exact) <= 4 * _EPS * d)
+
+    @given(y=st.integers(0, 10**6), d=st.floats(1e-6, 1e300), a=st.floats(1e-3, 1e3))
+    def test_vector_within_ulps_of_decimal_reference(self, y, d, a):
+        # 1 - exp(-x) cancels where x = a*y/d is small: at d/y = 1e10 it kept 8 digits.
+        # The reference keeps 40 digits by working with as many more as x has leading zeros
+        D = decimal.Decimal
+        with decimal.localcontext(decimal.Context(prec=40)):
+            x = D(a) * D(y) / D(d)
+        with decimal.localcontext(decimal.Context(prec=40 + max(0, -x.adjusted()))):
+            exact = float(D(d) * (1 - (-x).exp()))
+        for got in (reward_vector([y], [d], a)[0], reward(y, RewardParams(d=d, a=a))):
+            assert abs(got - exact) <= 4 * math.ulp(exact)
 
     def test_vector_subnormal_demand_is_served_without_warning(self):
         # a*y/d overflows to inf; the reward is then all of the demand
