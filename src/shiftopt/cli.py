@@ -190,12 +190,14 @@ def _sweep_scenarios(config: dict) -> list[tuple[float, Scenario]]:
     base: Scenario = config["_scenario"]
     kind = config["kind"]
     values = [int(v) for v in _numbers(config, "sweep_values", _whole(1), "whole numbers >= 1")]
-    per_driver = _per_driver(config)
     if kind == "sweep_drivers":
+        per_driver = _per_driver(config)
         scale = config.get("scale_c_veh", True)
         if not isinstance(scale, bool):
             raise ConfigError(f"scale_c_veh must be true or false, got {scale!r}")
         return [(float(v), _with_drivers(base, v, per_driver, scale)) for v in values]
+    if "d_max_per_driver" in config:
+        raise ConfigError(f"d_max_per_driver applies to sweep_drivers only, not {kind}")
     if base.N == 0:
         raise ConfigError(f"{kind} keeps the base scenario's total work, and N = 0 has none")
     # s*N*delta held fixed (s or delta is the swept field): N scales as 1/value

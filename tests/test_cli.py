@@ -200,6 +200,16 @@ class TestSweepCommand:
         assert capsys.readouterr().err == (
             "error: no plan: solver status infeasible\n" if code else "")
 
+    @pytest.mark.parametrize("kind", ["sweep_shifts_per_driver", "sweep_shift_length"])
+    def test_d_max_per_driver_rejected_where_unused(self, tmp_path, capsys, kind):
+        # it was read and ignored: 100.0 and 1.0 wrote the same sweep.csv, with exit 0
+        config = {"kind": kind, "scenario": base_scenario(), "sweep_values": [1, 2],
+                  "d_max_per_driver": 100.0}
+        code, out = run(tmp_path, "sweep", config)
+        assert code == EXIT_BAD_CONFIG and not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: d_max_per_driver applies to sweep_drivers only, not {kind}\n")
+
     def test_kind_mismatch_rejected(self, tmp_path):
         code, _ = run(tmp_path, "sweep", {"kind": "plan", "scenario": base_scenario()})
         assert code == EXIT_BAD_CONFIG
