@@ -342,6 +342,7 @@ class TestConfigErrors:
             ("compare", _compare_config(service_fraction=1.5)),
             ("compare", _compare_config(economic_cost="1")),
             ("compare", _compare_config(d_max_per_driver="a")),
+            ("compare", _compare_config(economic_cost=10**400)),  # an int past float's range
             ("plan", {"kind": "plan", "scenario": base_scenario(T=math.inf)}),
             ("plan", {"kind": "plan", "scenario": base_scenario(N=2.9)}),
             ("plan", {"kind": "plan", "scenario": base_scenario(T="12")}),
@@ -392,6 +393,7 @@ class TestConfigErrors:
         ],
         ids=["delta-above-T", "text-value", "scalar-values", "zero-work",
              "text-driver-count", "fraction-above-1", "text-cost", "text-per-driver",
+             "cost-past-float",
              "infinite-T", "fractional-N", "text-T", "fractional-plan", "negative-plan",
              "text-plan", "nested-plan", "null-plan", "huge-plan", "text-scale-c-veh",
              "demand-times-work", "demand-sum", "offset-sinusoid-peak", "tiny-cost",

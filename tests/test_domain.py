@@ -42,6 +42,8 @@ class TestScenario:
             scenario(a=0.0)
         with pytest.raises(ValueError):
             scenario(demand_model=DemandModel.EXPLICIT, demand=(1.0, 2.0))
+        with pytest.raises(ValueError, match="only allowed with explicit demand"):
+            scenario(demand=(1.0,) * 8)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
@@ -152,6 +154,11 @@ class TestReward:
             1 - math.exp(-1), abs=1e-12
         )
 
+    @pytest.mark.parametrize("d, a, match", [(-1.0, 1.0, "demand"), (1.0, 0.0, "steepness")])
+    def test_params_rejected(self, d, a, match):
+        with pytest.raises(ValueError, match=match):
+            RewardParams(d=d, a=a)
+
     def test_negative_supply_rejected(self):
         with pytest.raises(ValueError):
             reward(-0.1, RewardParams(d=1.0, a=1.0))
@@ -218,6 +225,14 @@ class TestShiftPlan:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="finite"):
                 ShiftPlan(x=np.array(x))
+
+    def test_not_a_vector_rejected(self):
+        with pytest.raises(ValueError, match="1-D vector"):
+            ShiftPlan(x=np.ones((2, 2)))
+
+    def test_non_integral_counts_rejected(self):
+        with pytest.raises(ValueError, match="integral"):
+            ShiftPlan(x=np.array([0.5, 1.0]))
 
     def test_largest_float_below_int64_limit_accepted(self):
         assert ShiftPlan(x=np.array([2.0**63 - 1024])).x.tolist() == [2**63 - 1024]

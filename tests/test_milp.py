@@ -107,6 +107,18 @@ class TestLpSolve:
         with pytest.raises(PlanningError, match="^no plan: solver status infeasible$"):
             lp_solve(m)
 
+    def test_inconsistent_bounds_rejected(self):
+        with pytest.raises(ValueError, match="inconsistent variable bounds"):
+            model([1.0], [2.0], [1.0])
+
+    def test_status_neither_optimal_nor_infeasible_raises(self, monkeypatch):
+        # HiGHS once stopped with kUnknown on a benchmark plan; lp_solve must not read x
+        unknown = scipy.optimize.OptimizeResult(status=HighsModelStatus.kUnknown, nit=3,
+                                                x=None, fun=None)
+        monkeypatch.setattr(milp, "linprog", lambda c, **kwargs: unknown)
+        with pytest.raises(RuntimeError, match="^LP backend failed: HiGHS model status kUnknown$"):
+            lp_solve(simple_model())
+
     def test_option_highs_rejects_raises(self, monkeypatch):
         # HiGHS returns kError for an unknown option without raising
         monkeypatch.setattr(milp, "HIGHS_OPTIONS", milp.HIGHS_OPTIONS + (("no_such_option", 1),))

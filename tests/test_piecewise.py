@@ -165,6 +165,11 @@ class TestWindowedEnvelopes:
         for k in range(10):
             assert at(coarse, k) <= reward(k, p) + 1e-12
 
+    @pytest.mark.parametrize("d, a", [([1.0, -1.0], 1.0), ([1.0, 1.0], 0.0)])
+    def test_negative_demand_or_flat_reward_rejected(self, d, a):
+        with pytest.raises(ValueError, match="demand must be >= 0 and steepness > 0"):
+            concavify_reward(d, a, 0, 3)
+
     def test_breakpoints_must_increase(self):
         for lo, hi, stride in ((0, 0, 1), (2, 1, 1), (-1, 3, 1), (0, 3, 0), ([0, 2], [2, 2], 1)):
             with pytest.raises(ValueError):

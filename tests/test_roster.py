@@ -26,6 +26,11 @@ def scenario(**kw):
 
 
 class TestOverlap:
+    @pytest.mark.parametrize("end", [3, 2])
+    def test_shift_of_no_length_rejected(self, end):
+        with pytest.raises(ValueError, match="positive length"):
+            ExtendedShift(3, end)
+
     def test_touching_half_open_intervals(self):
         assert not overlap(ExtendedShift(0, 16), ExtendedShift(16, 32))
 
@@ -235,6 +240,11 @@ class TestRebalance:
             (),
         ))
         with pytest.raises(ValueError, match="extended-shift constraint"):
+            rebalance(roster, 2)
+
+    def test_shift_count_not_s_per_driver_rejected(self):
+        roster = Roster(assignments=((ExtendedShift(0, 3), ExtendedShift(4, 7)), ()))
+        with pytest.raises(ValueError, match="not s \\* n_drivers"):
             rebalance(roster, 2)
 
     def test_mixed_lengths_rejected(self):
