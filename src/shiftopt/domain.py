@@ -208,8 +208,7 @@ def demand_vector(scenario: Scenario) -> np.ndarray:
 
 
 def reward(y: float, p: RewardParams) -> float:
-    """Rides served with supply y: d * (1 - exp(-a*y/d)), as -d * expm1(-a*y/d), which
-    keeps its digits where a*y/d is small; 0 when d = 0."""
+    """Rides served with supply y: d * (1 - exp(-a*y/d)), by expm1 (no cancellation); 0 if d = 0."""
     if y < 0:
         raise ValueError("supply must be >= 0")
     if p.d == 0:
@@ -218,8 +217,7 @@ def reward(y: float, p: RewardParams) -> float:
 
 
 def reward_vector(y, d, a: float) -> np.ndarray:
-    """The reward at every step: d_t * (1 - exp(-a*y_t/d_t)), as `reward` takes it; 0 where
-    d_t = 0."""
+    """The reward at every step, as `reward` computes it; 0 where d_t = 0."""
     y, d = np.asarray(y, dtype=float), np.asarray(d, dtype=float)
     out = np.zeros_like(y)
     on = d > 0

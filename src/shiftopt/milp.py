@@ -36,10 +36,9 @@ INT_TOL = 1e-6
 # gains up to that size unused, up to ~1e-8 of the objective where the
 # reward saturates
 DUAL_TOL = 1e-10
-# (option, value) pairs that linprog sets on HiGHS; each must return kOk. No presolve: the
-# planner's rows are already tight, and its LPs solve 15-30% faster. No cost perturbation:
-# with it, chord gains below DUAL_TOL can be left with a ~1e-8 dual infeasibility after the
-# perturbation's cleanup, and the model status kUnknown
+# linprog's HiGHS options. No presolve: the planner's rows are already tight, and its LPs
+# solve 15-30% faster. No cost perturbation: its cleanup can leave chord gains below DUAL_TOL
+# with a ~1e-8 dual infeasibility, and the model status kUnknown
 HIGHS_OPTIONS = (("output_flag", False), ("simplex_strategy", 1), ("presolve", "off"),
                  ("dual_feasibility_tolerance", DUAL_TOL),
                  ("dual_simplex_cost_perturbation_multiplier", 0.0))

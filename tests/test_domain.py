@@ -226,13 +226,11 @@ class TestShiftPlan:
             with pytest.raises(ValueError, match="finite"):
                 ShiftPlan(x=np.array(x))
 
-    def test_not_a_vector_rejected(self):
-        with pytest.raises(ValueError, match="1-D vector"):
-            ShiftPlan(x=np.ones((2, 2)))
-
-    def test_non_integral_counts_rejected(self):
-        with pytest.raises(ValueError, match="integral"):
-            ShiftPlan(x=np.array([0.5, 1.0]))
+    @pytest.mark.parametrize("x, match", [(np.ones((2, 2)), "1-D vector"),
+                                          (np.array([0.5, 1.0]), "must be integral")])
+    def test_not_a_vector_of_whole_counts_rejected(self, x, match):
+        with pytest.raises(ValueError, match=match):
+            ShiftPlan(x=x)
 
     def test_largest_float_below_int64_limit_accepted(self):
         assert ShiftPlan(x=np.array([2.0**63 - 1024])).x.tolist() == [2**63 - 1024]
