@@ -1,9 +1,10 @@
 """Command-line front end: plan, sweep, compare, roster, export-lp.
 
 Reads a JSON experiment config, runs the solver, and writes plot-ready CSV
-and JSON files. All outputs are written atomically (temp file + rename), so a
-failing run leaves no partial files. Exit codes: 0 ok, 2 bad config,
-3 infeasible, 4 I/O error, 5 roster verification failure.
+and JSON files. Every file is computed before the first is written, and each
+is replaced atomically (temp file + rename): no file is left half written,
+but an I/O error part-way keeps the files written before it. Exit codes:
+0 ok, 2 bad config, 3 infeasible, 4 I/O error, 5 roster verification failure.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from . import benchmark, planner, roster as rostering
 from .domain import Boundary, Scenario, ShiftPlan, demand_vector, reward_vector
 from .milp import PlanningError, export_lp
 
-__all__ = ["main", "read_csv"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 2
@@ -34,6 +35,9 @@ EXIT_VERIFICATION = 5
 _SWEEP_KINDS = ("sweep_drivers", "sweep_shifts_per_driver", "sweep_shift_length")
 # the roster holds one object per shift: 2**20 of them take about 5 s and 200 MiB
 _ROSTER_SHIFTS = 2**20
+# a key that only some kinds read, and those kinds: a config of any other kind is bad
+_MODIFIERS = {"d_max_per_driver": ("sweep_drivers", "compare_baselines"),
+              "scale_c_veh": ("sweep_drivers",)}
 
 
 class ConfigError(Exception):
@@ -50,25 +54,29 @@ _EXIT_CODES = {ConfigError: EXIT_BAD_CONFIG, PlanningError: EXIT_INFEASIBLE, OSE
                RosterFailure: EXIT_VERIFICATION}
 
 
-def _load_config(path: str, command: str, kinds: tuple[str, ...]) -> dict:
-    """The config at path, with its Scenario, if its kind is one that command takes."""
+def _load_config(path: str, command: str, kinds: tuple[str, ...]) -> tuple[Scenario, dict]:
+    """The Scenario and the config at path, if its kind is one that command
+    takes and it holds no modifier that its kind does not read."""
     try:
         with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            config = json.load(fh)
+    # ValueError: bad UTF-8 or JSON, or an integer of more than 4300 digits
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(obj, dict):
+    if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
-    kind = obj.get("kind")
+    kind = config.get("kind")
     if kind not in kinds:
         raise ConfigError(f"kind must be one of {', '.join(kinds)} for {command}, got {kind!r}")
-    if "scenario" not in obj:
+    for key, readers in _MODIFIERS.items():
+        if key in config and kind not in readers:
+            raise ConfigError(f"{key} applies to {' and '.join(readers)} only, not {kind}")
+    if "scenario" not in config:
         raise ConfigError("config is missing the scenario object")
     try:
-        obj["_scenario"] = Scenario.from_dict(obj["scenario"])
-    except (KeyError, ValueError, TypeError, OverflowError) as exc:
+        return Scenario.from_dict(config["scenario"]), config
+    except ValueError as exc:
         raise ConfigError(f"bad scenario: {exc}") from exc
-    return obj
 
 
 def _atomic_write(out_dir: str, filename: str, text: str) -> None:
@@ -85,12 +93,6 @@ def _atomic_write(out_dir: str, filename: str, text: str) -> None:
         raise
 
 
-def _write_all(out_dir: str, files: dict[str, str]) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    for filename, text in files.items():
-        _atomic_write(out_dir, filename, text)
-
-
 def _csv_text(header: list[str], rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -100,23 +102,7 @@ def _csv_text(header: list[str], rows) -> str:
     return buf.getvalue()
 
 
-def read_csv(path: str) -> tuple[list[str], list[list[float]]]:
-    """Read back a CLI-written CSV; numeric cells are parsed as floats."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    header, body = rows[0], rows[1:]
-
-    def cell(v: str):
-        try:
-            return float(v)
-        except ValueError:
-            return v
-
-    return header, [[cell(v) for v in row] for row in body]
-
-
-def _cmd_plan(config: dict) -> dict[str, str]:
-    scenario: Scenario = config["_scenario"]
+def _cmd_plan(scenario: Scenario, config: dict) -> dict[str, str]:
     result = planner.plan(scenario)
     opt = benchmark.agnostic_optimum_closed_form(scenario)
     d = demand_vector(scenario)
@@ -186,8 +172,7 @@ def _with_drivers(base: Scenario, n: int, per_driver: float | None,
     return _derive(base, n, N=n, d_max=d_max, c_veh=c_veh)
 
 
-def _sweep_scenarios(config: dict) -> list[tuple[float, Scenario]]:
-    base: Scenario = config["_scenario"]
+def _sweep_scenarios(base: Scenario, config: dict) -> list[tuple[float, Scenario]]:
     kind = config["kind"]
     values = [int(v) for v in _numbers(config, "sweep_values", _whole(1), "whole numbers >= 1")]
     if kind == "sweep_drivers":
@@ -196,8 +181,6 @@ def _sweep_scenarios(config: dict) -> list[tuple[float, Scenario]]:
         if not isinstance(scale, bool):
             raise ConfigError(f"scale_c_veh must be true or false, got {scale!r}")
         return [(float(v), _with_drivers(base, v, per_driver, scale)) for v in values]
-    if "d_max_per_driver" in config:
-        raise ConfigError(f"d_max_per_driver applies to sweep_drivers only, not {kind}")
     if base.N == 0:
         raise ConfigError(f"{kind} keeps the base scenario's total work, and N = 0 has none")
     # s*N*delta held fixed (s or delta is the swept field): N scales as 1/value
@@ -212,10 +195,10 @@ def _sweep_scenarios(config: dict) -> list[tuple[float, Scenario]]:
     return out
 
 
-def _cmd_sweep(config: dict) -> dict[str, str]:
+def _cmd_sweep(base: Scenario, config: dict) -> dict[str, str]:
     rows = []
     supply_rows = []
-    for value, scenario in _sweep_scenarios(config):
+    for value, scenario in _sweep_scenarios(base, config):
         result = planner.plan(scenario)
         opt = benchmark.agnostic_optimum_closed_form(scenario)
         rows.append([value, benchmark.gap(result.true_reward, opt), result.true_reward,
@@ -233,7 +216,7 @@ def _cmd_sweep(config: dict) -> dict[str, str]:
     }
 
 
-def _cmd_compare(config: dict) -> dict[str, str]:
+def _cmd_compare(base: Scenario, config: dict) -> dict[str, str]:
     values = _numbers(config, "sweep_values", _whole(0), "driver counts (whole numbers >= 0)")
     fraction, positive = (lambda v: 0 < v < 1), (lambda v: v > 0)
     c_frac = _number("service_fraction", config.get("service_fraction"), fraction, "in (0, 1)")
@@ -249,7 +232,7 @@ def _cmd_compare(config: dict) -> dict[str, str]:
     rows = []
     robust_rows = []
     for n in (int(v) for v in values):
-        scenario = _with_drivers(config["_scenario"], n, per_driver)
+        scenario = _with_drivers(base, n, per_driver)
         opt = benchmark.agnostic_optimum_closed_form(scenario)
         results = [planner.plan(scenario)]
         try:  # a standard's desired supply with no float64 square is rejected
@@ -266,8 +249,7 @@ def _cmd_compare(config: dict) -> dict[str, str]:
     }
 
 
-def _cmd_roster(config: dict) -> dict[str, str]:
-    scenario: Scenario = config["_scenario"]
+def _cmd_roster(scenario: Scenario, config: dict) -> dict[str, str]:
     if scenario.boundary is not Boundary.ZERO_PADDED:
         raise ConfigError(f"roster takes zero_padded scenarios only, got boundary "
                           f"{scenario.boundary.value}")
@@ -292,8 +274,7 @@ def _cmd_roster(config: dict) -> dict[str, str]:
     return {"roster.csv": rostering.roster_to_csv(assigned, scenario)}
 
 
-def _cmd_export_lp(config: dict) -> dict[str, str]:
-    scenario: Scenario = config["_scenario"]
+def _cmd_export_lp(scenario: Scenario, config: dict) -> dict[str, str]:
     return {"model.lp": export_lp(planner.build_reward_mip(scenario))}
 
 
@@ -324,7 +305,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     handler, kinds = _COMMANDS[args.command]
     try:
-        _write_all(args.out, handler(_load_config(args.config, args.command, kinds)))
+        files = handler(*_load_config(args.config, args.command, kinds))
+        os.makedirs(args.out, exist_ok=True)
+        for filename, text in files.items():
+            _atomic_write(args.out, filename, text)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))

@@ -115,11 +115,20 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Scenario":
-        """Scenario from a JSON object; raises ValueError for a non-numeric
-        field or entry, and for an integer field that is not a whole number."""
+        """Scenario from a JSON object. Raises ValueError, and only ValueError,
+        for anything else: a non-object, a missing or non-numeric field, a
+        `demand` that is not a list of numbers, a real past float range and an
+        integer field that is not a whole number."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"expected an object, got {type(obj).__name__}")
         demand = obj.get("demand")
-        ints = {k: _number(k, obj[k], True) for k in ("T", "N", "s", "delta", "beta", "c_veh")}
-        reals = {k: _number(k, obj[k]) for k in ("d_max", "a")}
+        if not isinstance(demand, (list, tuple, type(None))):
+            raise ValueError(f"demand must be a list of numbers, got {type(demand).__name__}")
+        try:
+            ints = {k: _number(k, obj[k], True) for k in ("T", "N", "s", "delta", "beta", "c_veh")}
+            reals = {k: _number(k, obj[k]) for k in ("d_max", "a")}
+        except KeyError as exc:
+            raise ValueError(f"missing field {exc.args[0]}") from None
         return cls(
             **ints,
             **reals,
@@ -131,11 +140,15 @@ class Scenario:
 
 def _number(key: str, v, whole: bool = False) -> float | int:
     """v as a float, or as an int if `whole`: a bool, a string, any other
-    non-number and, if `whole`, a fractional or non-finite v raise ValueError."""
+    non-number, an int past float range if not `whole` and, if `whole`, a
+    fractional or non-finite v raise ValueError."""
     if isinstance(v, bool) or not isinstance(v, (int, float, np.number)) or (
             whole and not isinstance(v, (int, np.integer)) and not float(v).is_integer()):
         raise ValueError(f"{key} must be a {'whole ' if whole else ''}number, got {v!r}")
-    return int(v) if whole else float(v)
+    try:
+        return int(v) if whole else float(v)
+    except OverflowError:
+        raise ValueError(f"{key} must be within float range, got {v!r}") from None
 
 
 @dataclass(frozen=True)

@@ -64,16 +64,6 @@ def overlap(s1: ExtendedShift, s2: ExtendedShift) -> bool:
     return s1.start < s2.end and s2.start < s1.end
 
 
-def _deal(shifts: list[ExtendedShift], n: int, violated: str) -> Roster:
-    """Deal equal-length shifts, sorted by start, to n drivers in turn: the
-    k-th to driver k mod n. Raises ValueError at the first shift that overlaps
-    the one dealt n places before it (with n = 0, at the first shift)."""
-    clash = next((b for a, b in zip(shifts, shifts[n:]) if overlap(a, b)), None)
-    if clash is not None:
-        raise ValueError(f"no driver available at step {clash.start}: {violated}")
-    return Roster(assignments=tuple(tuple(shifts[i::n]) for i in range(n)))
-
-
 def greedy_assign(plan: ShiftPlan, scenario: Scenario) -> Roster:
     """Deal the plan's shifts in start order to the N drivers in turn.
 
@@ -84,14 +74,15 @@ def greedy_assign(plan: ShiftPlan, scenario: Scenario) -> Roster:
     if scenario.boundary is Boundary.CIRCULAR:
         raise ValueError("rostering is defined for zero-padded plans only")
     # in O(T), before any shift is built (supply_curve checks the plan's length
-    # first): the dealing's first clash is at the first step with z_t > N
+    # first): dealing clashes first at the first step with z_t > N, and nowhere
+    # if there is none, so the shifts are dealt below without a pairwise scan
     over = supply_curve(plan, scenario).z > scenario.N
     if over.any():
         raise ValueError(f"no driver available at step {over.argmax() + 1}: plan violates z_t <= N")
-    length = scenario.delta + scenario.beta
+    length, n = scenario.delta + scenario.beta, scenario.N
     shifts = [ExtendedShift(start=t, end=t + length)
               for t, c in enumerate(plan.x.tolist(), 1) for _ in range(c)]
-    return _deal(shifts, scenario.N, "plan violates z_t <= N")
+    return Roster(assignments=tuple(tuple(shifts[i::n]) for i in range(n)))
 
 
 def rebalance(roster: Roster, s: int, trace: list | None = None) -> Roster:
@@ -108,8 +99,14 @@ def rebalance(roster: Roster, s: int, trace: list | None = None) -> Roster:
         return Roster(assignments=tuple(tuple(sorted(a)) for a in roster.assignments))
     if len(shifts) != s * roster.n_drivers:
         raise ValueError("total shift count is not s * n_drivers")
-    dealt = _deal(sorted(shifts), roster.n_drivers,
-                  "roster does not satisfy the extended-shift constraint")
+    # the k-th shift in start order goes to driver k mod n, so each driver's
+    # shifts are free of clashes if no shift overlaps the one n places before it
+    shifts, n = sorted(shifts), roster.n_drivers
+    clash = next((b for a, b in zip(shifts, shifts[n:]) if overlap(a, b)), None)
+    if clash is not None:
+        raise ValueError(f"no driver available at step {clash.start}: "
+                         "roster does not satisfy the extended-shift constraint")
+    dealt = Roster(assignments=tuple(tuple(shifts[i::n]) for i in range(n)))
     if trace is not None:
         trace.append(dealt.counts())
     return dealt

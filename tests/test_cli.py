@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -19,7 +20,6 @@ from shiftopt.cli import (
     EXIT_OK,
     EXIT_VERIFICATION,
     main,
-    read_csv,
 )
 
 
@@ -31,6 +31,21 @@ def base_scenario(**kw):
     }
     sc.update(kw)
     return sc
+
+
+def read_csv(path: str) -> tuple[list[str], list[list[float]]]:
+    """Read back a CLI-written CSV; numeric cells are parsed as floats."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    header, body = rows[0], rows[1:]
+
+    def cell(v: str):
+        try:
+            return float(v)
+        except ValueError:
+            return v
+
+    return header, [[cell(v) for v in row] for row in body]
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -207,8 +222,8 @@ class TestSweepCommand:
                   "d_max_per_driver": 100.0}
         code, out = run(tmp_path, "sweep", config)
         assert code == EXIT_BAD_CONFIG and not out.exists()
-        assert capsys.readouterr().err == (
-            f"error: d_max_per_driver applies to sweep_drivers only, not {kind}\n")
+        assert capsys.readouterr().err == ("error: d_max_per_driver applies to sweep_drivers "
+                                           f"and compare_baselines only, not {kind}\n")
 
     def test_kind_mismatch_rejected(self, tmp_path):
         code, _ = run(tmp_path, "sweep", {"kind": "plan", "scenario": base_scenario()})
@@ -390,6 +405,18 @@ class TestConfigErrors:
             ("plan", [1, 2]),
             ("plan", {"kind": "plan"}),
             ("roster", _roster_config([0] * 5)),
+            # a scenario that is not an object
+            ("plan", {"kind": "plan", "scenario": [1]}),
+            ("roster", {"kind": "roster", "scenario": "x"}),
+            ("compare", _compare_config(scenario=None)),
+            # a modifier that the kind does not read: each was ignored with exit 0
+            ("compare", _compare_config(scale_c_veh=False)),
+            ("sweep", {"kind": "sweep_shift_length", "scenario": base_scenario(),
+                       "sweep_values": [1, 2], "scale_c_veh": "junk"}),
+            ("plan", {"kind": "plan", "scenario": base_scenario(), "scale_c_veh": "junk"}),
+            ("plan", {"kind": "plan", "scenario": base_scenario(), "d_max_per_driver": "junk"}),
+            ("roster", {"kind": "roster", "scenario": base_scenario(),
+                        "d_max_per_driver": "junk"}),
         ],
         ids=["delta-above-T", "text-value", "scalar-values", "zero-work",
              "text-driver-count", "fraction-above-1", "text-cost", "text-per-driver",
@@ -399,13 +426,31 @@ class TestConfigErrors:
              "demand-times-work", "demand-sum", "offset-sinusoid-peak", "tiny-cost",
              "tiny-a-and-cost", "sweep-1e20-drivers", "sweep-1e308-drivers",
              "compare-1e308-drivers", "huge-N", "huge-s", "huge-beta", "beta-2**31",
-             "T-2**31", "T-2**20+1", "not-an-object", "no-scenario", "short-plan"],
+             "T-2**31", "T-2**20+1", "not-an-object", "no-scenario", "short-plan",
+             "list-scenario", "text-scenario", "null-scenario", "compare-scale-c-veh",
+             "shift-length-scale-c-veh", "plan-scale-c-veh", "plan-per-driver",
+             "roster-per-driver"],
     )
     def test_exit_2_with_one_line(self, tmp_path, capsys, command, config):
         code, out = run(tmp_path, command, config)
         assert code == EXIT_BAD_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        b"\xff\xfe{}",  # not UTF-8
+        b'{"kind": "plan", "scenario": {"T": ' + b"1" * 5000 + b"}}",  # past 4300 digits
+        b"[" * 100_000 + b"]" * 100_000,  # nested past the recursion limit
+    ], ids=["bad-utf-8", "5000-digit-int", "deep-nesting"])
+    def test_unreadable_config_exit_2(self, tmp_path, capsys, text):
+        # each ended in a traceback with exit 1
+        (tmp_path / "config.json").write_bytes(text)
+        out = tmp_path / "out"
+        assert main(["plan", "--config", str(tmp_path / "config.json"),
+                     "--out", str(out)]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config ") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("kind", [None, "plot", "plan"])
@@ -453,11 +498,11 @@ _KIND_AND_COMMAND = [
 ]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
     kind_and_command=st.sampled_from(_KIND_AND_COMMAND),
     fields=st.fixed_dictionaries({}, optional=_FIELDS),
-    scenario=st.fixed_dictionaries({}, optional=_SCENARIO_FIELDS),
+    scenario=st.one_of(st.fixed_dictionaries({}, optional=_SCENARIO_FIELDS), _JUNK_OR_LIST),
     N=st.integers(0, 4), s=st.integers(1, 2), delta=st.integers(1, 4),
     c_veh=st.integers(0, 5), demand=st.one_of(st.none(), _DEMAND),
     keep=st.sampled_from([None, *_FIELDS, *_SCENARIO_FIELDS]),
@@ -467,14 +512,17 @@ def test_config_fuzz_never_exit_1(kind_and_command, fields, scenario, N, s, delt
     """Every command's config either runs or fails with a documented exit code:
     one line on stderr if it fails, nothing if it runs. With a drawn explicit
     demand, the config starts from valid fields and keeps only the drawn field
-    named `keep`, so that about half of such runs get past validation."""
+    named `keep`, so that about half of such runs get past validation. A drawn
+    scenario that is not an object is used as it is."""
     kind, command = kind_and_command
-    base = base_scenario(N=N, s=s, delta=delta, c_veh=c_veh)
-    if demand is not None:
-        base.update(demand_model="explicit", demand=demand)
-        fields = {**_VALID_FIELDS, **{k: v for k, v in fields.items() if k == keep}}
-        scenario = {k: v for k, v in scenario.items() if k == keep}
-    config = {"kind": kind, "scenario": {**base, **scenario}, **fields}
+    if isinstance(scenario, dict):
+        base = base_scenario(N=N, s=s, delta=delta, c_veh=c_veh)
+        if demand is not None:
+            base.update(demand_model="explicit", demand=demand)
+            fields = {**_VALID_FIELDS, **{k: v for k, v in fields.items() if k == keep}}
+            scenario = {k: v for k, v in scenario.items() if k == keep}
+        scenario = {**base, **scenario}
+    config = {"kind": kind, "scenario": scenario, **fields}
     with tempfile.TemporaryDirectory() as tmp, redirect_stderr(io.StringIO()) as err:
         code, _ = run(Path(tmp), command, config)
     assert code in (EXIT_OK, EXIT_BAD_CONFIG, EXIT_INFEASIBLE, EXIT_IO, EXIT_VERIFICATION)

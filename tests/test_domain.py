@@ -75,6 +75,17 @@ class TestScenario:
         with pytest.raises(ValueError, match=field):
             Scenario.from_dict(obj)
 
+    @pytest.mark.parametrize("obj, match", [
+        ({**_FIELDS, "d_max": 10**400}, "d_max must be within float range"),
+        ({k: v for k, v in _FIELDS.items() if k != "T"}, "missing field T"),
+        ({**_FIELDS, "demand_model": "explicit", "demand": 5}, "demand must be a list"),
+        ([1], "expected an object, got list"),
+    ], ids=["d_max-past-float", "no-T", "scalar-demand", "list"])
+    def test_from_dict_raises_value_error_only(self, obj, match):
+        # these raised OverflowError, KeyError, TypeError and AttributeError
+        with pytest.raises(ValueError, match=match):
+            Scenario.from_dict(obj)
+
     @pytest.mark.parametrize("field", ["T", "N", "s", "beta", "c_veh"])
     def test_counts_bounded_by_int32(self, field):
         most = 2**20 if field == "T" else 2**31 - 1

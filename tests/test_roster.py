@@ -83,11 +83,15 @@ def _message(fn, *args):
 
 
 def _first_clash(plan, sc):
-    """The message of dealing every shift of the plan, or None if it deals."""
+    """The message of dealing every shift of the plan in start order to N
+    drivers in turn, at the first shift that overlaps the one N places before
+    it, or None if it deals."""
     length = sc.delta + sc.beta
     shifts = [ExtendedShift(t, t + length) for t, c in enumerate(plan.x.tolist(), 1)
               for _ in range(c)]
-    return _message(rostering._deal, shifts, sc.N, "plan violates z_t <= N")
+    clash = next((b for a, b in zip(shifts, shifts[sc.N:]) if overlap(a, b)), None)
+    return None if clash is None else (
+        f"no driver available at step {clash.start}: plan violates z_t <= N")
 
 
 class TestZBoundBeforeAnyShift:
@@ -114,6 +118,15 @@ class TestZBoundBeforeAnyShift:
         sc = scenario(T=len(x), N=N, delta=min(delta, len(x)), beta=beta)
         plan = ShiftPlan(x=np.array(x))
         assert _message(greedy_assign, plan, sc) == _first_clash(plan, sc)
+
+    def test_no_pairwise_scan(self, monkeypatch):
+        # the z_t <= N check rules out every clash, so no pair of shifts is compared
+        sc = scenario(T=6, N=2, s=2, delta=1, beta=1)
+        plan = ShiftPlan(x=np.array([2, 0, 1, 0, 1, 0]))
+        monkeypatch.setattr(rostering, "overlap", lambda *a: pytest.fail("scanned"))
+        roster = greedy_assign(plan, sc)
+        monkeypatch.undo()
+        assert verify_roster(roster, plan, sc).ok
 
     def test_no_shift_is_built(self, monkeypatch):
         # 10**6 + 1 starts at one step used to be expanded before the clash
