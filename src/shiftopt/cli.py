@@ -1,9 +1,11 @@
 """Command-line front end: plan, sweep, compare, roster, export-lp.
 
 Reads a JSON experiment config, runs the solver, and writes plot-ready CSV
-and JSON files. Every file is computed before the first is written, and each
-is replaced atomically (temp file + rename): no file is left half written,
-but an I/O error part-way keeps the files written before it. Exit codes:
+and JSON files. A config's kind sets the commands that take it and the keys
+it may hold besides kind and scenario; any other key is a bad config. Every
+file is computed before the first is written, and each is replaced
+atomically (temp file + rename): no file is left half written, but an I/O
+error part-way keeps the files written before it. Exit codes:
 0 ok, 2 bad config, 3 infeasible, 4 I/O error, 5 roster verification failure.
 """
 
@@ -32,12 +34,19 @@ EXIT_INFEASIBLE = 3
 EXIT_IO = 4
 EXIT_VERIFICATION = 5
 
-_SWEEP_KINDS = ("sweep_drivers", "sweep_shifts_per_driver", "sweep_shift_length")
+# kind: (the commands that take it, the keys it reads besides kind and scenario)
+_KINDS = {
+    "plan": (("plan", "export-lp"), ()),
+    "sweep_drivers": (("sweep",), ("sweep_values", "d_max_per_driver", "scale_c_veh")),
+    "sweep_shifts_per_driver": (("sweep",), ("sweep_values",)),
+    "sweep_shift_length": (("sweep",), ("sweep_values",)),
+    "compare_baselines": (("compare",), ("sweep_values", "service_fraction", "economic_cost",
+                                         "d_max_per_driver", "robustness_fractions",
+                                         "robustness_costs")),
+    "roster": (("roster",), ("plan",)),
+}
 # the roster holds one object per shift: 2**20 of them take about 5 s and 200 MiB
 _ROSTER_SHIFTS = 2**20
-# a key that only some kinds read, and those kinds: a config of any other kind is bad
-_MODIFIERS = {"d_max_per_driver": ("sweep_drivers", "compare_baselines"),
-              "scale_c_veh": ("sweep_drivers",)}
 
 
 class ConfigError(Exception):
@@ -54,9 +63,9 @@ _EXIT_CODES = {ConfigError: EXIT_BAD_CONFIG, PlanningError: EXIT_INFEASIBLE, OSE
                RosterFailure: EXIT_VERIFICATION}
 
 
-def _load_config(path: str, command: str, kinds: tuple[str, ...]) -> tuple[Scenario, dict]:
+def _load_config(path: str, command: str) -> tuple[Scenario, dict]:
     """The Scenario and the config at path, if its kind is one that command
-    takes and it holds no modifier that its kind does not read."""
+    takes and it holds no key that its kind does not read."""
     try:
         with open(path, encoding="utf-8") as fh:
             config = json.load(fh)
@@ -66,11 +75,12 @@ def _load_config(path: str, command: str, kinds: tuple[str, ...]) -> tuple[Scena
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
     kind = config.get("kind")
-    if kind not in kinds:
+    kinds = [k for k, (commands, _) in _KINDS.items() if command in commands]
+    if kind not in kinds:  # a list, not the table: an unhashable kind is not a TypeError
         raise ConfigError(f"kind must be one of {', '.join(kinds)} for {command}, got {kind!r}")
-    for key, readers in _MODIFIERS.items():
-        if key in config and kind not in readers:
-            raise ConfigError(f"{key} applies to {' and '.join(readers)} only, not {kind}")
+    for key in config:
+        if key not in ("kind", "scenario", *_KINDS[kind][1]):
+            raise ConfigError(f"{kind} configs take no key {key!r}")
     if "scenario" not in config:
         raise ConfigError("config is missing the scenario object")
     try:
@@ -151,11 +161,6 @@ def _whole(minimum: int):
     return lambda v: v >= minimum and v == int(v)
 
 
-def _per_driver(config: dict) -> float | None:
-    v = config.get("d_max_per_driver")
-    return None if v is None else _number("d_max_per_driver", v, lambda v: v >= 0, "a number >= 0")
-
-
 def _derive(base: Scenario, value: int, **fields) -> Scenario:
     try:
         return dataclasses.replace(base, **fields)
@@ -163,24 +168,23 @@ def _derive(base: Scenario, value: int, **fields) -> Scenario:
         raise ConfigError(f"sweep value {value!r} gives a bad scenario: {exc}") from exc
 
 
-def _with_drivers(base: Scenario, n: int, per_driver: float | None,
-                  scale_c_veh: bool = True) -> Scenario:
-    """The base scenario with n drivers, d_max = per_driver * n unless
-    per_driver is None, and c_veh raised to n if scale_c_veh."""
-    d_max = base.d_max if per_driver is None else per_driver * n
-    c_veh = max(base.c_veh, n) if scale_c_veh else base.c_veh
-    return _derive(base, n, N=n, d_max=d_max, c_veh=c_veh)
+def _with_drivers(base: Scenario, n: int, config: dict) -> Scenario:
+    """The base scenario with n drivers, d_max = d_max_per_driver * n if the config
+    sets it, and c_veh raised to n unless scale_c_veh is false."""
+    per_driver = config.get("d_max_per_driver")
+    d_max = base.d_max if per_driver is None else _number(
+        "d_max_per_driver", per_driver, lambda v: v >= 0, "a number >= 0") * n
+    scale = config.get("scale_c_veh", True)
+    if not isinstance(scale, bool):
+        raise ConfigError(f"scale_c_veh must be true or false, got {scale!r}")
+    return _derive(base, n, N=n, d_max=d_max, c_veh=max(base.c_veh, n) if scale else base.c_veh)
 
 
 def _sweep_scenarios(base: Scenario, config: dict) -> list[tuple[float, Scenario]]:
     kind = config["kind"]
     values = [int(v) for v in _numbers(config, "sweep_values", _whole(1), "whole numbers >= 1")]
     if kind == "sweep_drivers":
-        per_driver = _per_driver(config)
-        scale = config.get("scale_c_veh", True)
-        if not isinstance(scale, bool):
-            raise ConfigError(f"scale_c_veh must be true or false, got {scale!r}")
-        return [(float(v), _with_drivers(base, v, per_driver, scale)) for v in values]
+        return [(float(v), _with_drivers(base, v, config)) for v in values]
     if base.N == 0:
         raise ConfigError(f"{kind} keeps the base scenario's total work, and N = 0 has none")
     # s*N*delta held fixed (s or delta is the swept field): N scales as 1/value
@@ -224,7 +228,6 @@ def _cmd_compare(base: Scenario, config: dict) -> dict[str, str]:
     opts_frac = _numbers(config, "robustness_fractions", fraction, "numbers in (0, 1)",
                          [0.5, 0.8, 0.95])
     opts_cost = _numbers(config, "robustness_costs", positive, "numbers > 0", [0.5, 1.0, 1.5])
-    per_driver = _per_driver(config)
     robust = [("service", c) for c in opts_frac] + [("economic", c) for c in opts_cost]
     standards = [("service", c_frac), ("economic", c_cost)] + robust
     supply = {"service": benchmark.service_standard_supply,
@@ -232,7 +235,7 @@ def _cmd_compare(base: Scenario, config: dict) -> dict[str, str]:
     rows = []
     robust_rows = []
     for n in (int(v) for v in values):
-        scenario = _with_drivers(base, n, per_driver)
+        scenario = _with_drivers(base, n, config)
         opt = benchmark.agnostic_optimum_closed_form(scenario)
         results = [planner.plan(scenario)]
         try:  # a standard's desired supply with no float64 square is rejected
@@ -278,14 +281,8 @@ def _cmd_export_lp(scenario: Scenario, config: dict) -> dict[str, str]:
     return {"model.lp": export_lp(planner.build_reward_mip(scenario))}
 
 
-# command: (handler, the config kinds it accepts)
-_COMMANDS = {
-    "plan": (_cmd_plan, ("plan",)),
-    "sweep": (_cmd_sweep, _SWEEP_KINDS),
-    "compare": (_cmd_compare, ("compare_baselines",)),
-    "roster": (_cmd_roster, ("roster",)),
-    "export-lp": (_cmd_export_lp, ("plan", "roster") + _SWEEP_KINDS),
-}
+_COMMANDS = {"plan": _cmd_plan, "sweep": _cmd_sweep, "compare": _cmd_compare,
+             "roster": _cmd_roster, "export-lp": _cmd_export_lp}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -303,9 +300,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    handler, kinds = _COMMANDS[args.command]
     try:
-        files = handler(*_load_config(args.config, args.command, kinds))
+        files = _COMMANDS[args.command](*_load_config(args.config, args.command))
         os.makedirs(args.out, exist_ok=True)
         for filename, text in files.items():
             _atomic_write(args.out, filename, text)

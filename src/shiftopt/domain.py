@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -116,11 +116,14 @@ class Scenario:
     @classmethod
     def from_dict(cls, obj: dict) -> "Scenario":
         """Scenario from a JSON object. Raises ValueError, and only ValueError,
-        for anything else: a non-object, a missing or non-numeric field, a
-        `demand` that is not a list of numbers, a real past float range and an
-        integer field that is not a whole number."""
+        for anything else: a non-object, a key that is not a field, a missing
+        or non-numeric field, a `demand` that is not a list of numbers, a real
+        past float range and an integer field that is not a whole number."""
         if not isinstance(obj, dict):
             raise ValueError(f"expected an object, got {type(obj).__name__}")
+        names = {f.name for f in fields(cls)}
+        if unknown := [key for key in obj if key not in names]:
+            raise ValueError(f"unknown field {unknown[0]!r}")
         demand = obj.get("demand")
         if not isinstance(demand, (list, tuple, type(None))):
             raise ValueError(f"demand must be a list of numbers, got {type(demand).__name__}")

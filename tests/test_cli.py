@@ -19,6 +19,7 @@ from shiftopt.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_VERIFICATION,
+    _KINDS,
     main,
 )
 
@@ -222,8 +223,7 @@ class TestSweepCommand:
                   "d_max_per_driver": 100.0}
         code, out = run(tmp_path, "sweep", config)
         assert code == EXIT_BAD_CONFIG and not out.exists()
-        assert capsys.readouterr().err == ("error: d_max_per_driver applies to sweep_drivers "
-                                           f"and compare_baselines only, not {kind}\n")
+        assert capsys.readouterr().err == f"error: {kind} configs take no key 'd_max_per_driver'\n"
 
     def test_kind_mismatch_rejected(self, tmp_path):
         code, _ = run(tmp_path, "sweep", {"kind": "plan", "scenario": base_scenario()})
@@ -417,6 +417,17 @@ class TestConfigErrors:
             ("plan", {"kind": "plan", "scenario": base_scenario(), "d_max_per_driver": "junk"}),
             ("roster", {"kind": "roster", "scenario": base_scenario(),
                         "d_max_per_driver": "junk"}),
+            # a key that the kind does not read, or a scenario key that is not a field:
+            # each was ignored with exit 0
+            ("compare", _compare_config(robustness_fraction=[0.1])),
+            ("roster", {"kind": "roster", "scenario": base_scenario(T=6),
+                        "planx": [1, 1, 0, 0, 0, 0]}),
+            ("plan", {"kind": "plan", "scenario": base_scenario(), "sweep_values": [1, 2]}),
+            ("plan", {"kind": "plan", "scenario": base_scenario(boundry="circular")}),
+            # export-lp takes plan configs only: it read the scenario of any other kind
+            ("export-lp", {"kind": "sweep_drivers", "scenario": base_scenario(),
+                           "sweep_values": "junk"}),
+            ("export-lp", _roster_config([1, 1, 0, 0, 0, 0])),
         ],
         ids=["delta-above-T", "text-value", "scalar-values", "zero-work",
              "text-driver-count", "fraction-above-1", "text-cost", "text-per-driver",
@@ -429,7 +440,9 @@ class TestConfigErrors:
              "T-2**31", "T-2**20+1", "not-an-object", "no-scenario", "short-plan",
              "list-scenario", "text-scenario", "null-scenario", "compare-scale-c-veh",
              "shift-length-scale-c-veh", "plan-scale-c-veh", "plan-per-driver",
-             "roster-per-driver"],
+             "roster-per-driver", "misspelt-compare-key", "misspelt-roster-key",
+             "plan-sweep-values", "misspelt-scenario-key", "export-lp-sweep",
+             "export-lp-roster"],
     )
     def test_exit_2_with_one_line(self, tmp_path, capsys, command, config):
         code, out = run(tmp_path, command, config)
@@ -453,7 +466,7 @@ class TestConfigErrors:
         assert err.startswith("error: cannot read config ") and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("kind", [None, "plot", "plan"])
+    @pytest.mark.parametrize("kind", [None, "plot", "plan", []])
     def test_kind_checked_before_scenario(self, tmp_path, capsys, kind):
         config = {"scenario": {"T": "not a number"}} | ({} if kind is None else {"kind": kind})
         assert run(tmp_path, "sweep", config)[0] == EXIT_BAD_CONFIG
@@ -473,7 +486,7 @@ _JUNK_OR_LIST = st.one_of(_JUNK, st.lists(_JUNK, max_size=3))
 # an explicit demand for T = 12, with subnormal, tiny and huge entries
 _DEMAND = st.lists(st.one_of(st.sampled_from([0.0, 5e-324, 1e-320, 1e-300, 1e200, 1e308]),
                              st.floats(0.0, 10.0)), min_size=12, max_size=12)
-# fields that every command accepts
+# valid values of keys that some kinds read
 _VALID_FIELDS = {"sweep_values": [1, 2], "service_fraction": 0.8, "economic_cost": 1.0}
 _FIELDS = {
     "sweep_values": _JUNK_OR_LIST,
@@ -506,26 +519,38 @@ _KIND_AND_COMMAND = [
     N=st.integers(0, 4), s=st.integers(1, 2), delta=st.integers(1, 4),
     c_veh=st.integers(0, 5), demand=st.one_of(st.none(), _DEMAND),
     keep=st.sampled_from([None, *_FIELDS, *_SCENARIO_FIELDS]),
+    misspelt=st.one_of(st.none(), st.sampled_from([*_FIELDS, *_SCENARIO_FIELDS])),
 )
 def test_config_fuzz_never_exit_1(kind_and_command, fields, scenario, N, s, delta, c_veh,
-                                  demand, keep):
+                                  demand, keep, misspelt):
     """Every command's config either runs or fails with a documented exit code:
-    one line on stderr if it fails, nothing if it runs. With a drawn explicit
-    demand, the config starts from valid fields and keeps only the drawn field
-    named `keep`, so that about half of such runs get past validation. A drawn
-    scenario that is not an object is used as it is."""
+    one line on stderr if it fails, nothing if it runs. Only the drawn fields
+    that the kind reads are kept. With a drawn explicit demand, the config
+    starts from the valid fields that the kind reads and keeps only the drawn
+    field named `keep`, so that about half of such runs get past validation.
+    A drawn scenario that is not an object is used as it is. A `misspelt` key,
+    the named key less its last letter, is put in the config or the scenario
+    object: that config is bad whatever else it holds."""
     kind, command = kind_and_command
+    reads = _KINDS[kind][1]
+    fields = {k: v for k, v in fields.items() if k in reads}
     if isinstance(scenario, dict):
         base = base_scenario(N=N, s=s, delta=delta, c_veh=c_veh)
         if demand is not None:
             base.update(demand_model="explicit", demand=demand)
-            fields = {**_VALID_FIELDS, **{k: v for k, v in fields.items() if k == keep}}
+            fields = {**{k: v for k, v in _VALID_FIELDS.items() if k in reads},
+                      **{k: v for k, v in fields.items() if k == keep}}
             scenario = {k: v for k, v in scenario.items() if k == keep}
         scenario = {**base, **scenario}
     config = {"kind": kind, "scenario": scenario, **fields}
+    holder = config if misspelt in _FIELDS else scenario
+    misspell = misspelt is not None and isinstance(holder, dict)
+    if misspell:
+        holder[misspelt[:-1]] = 1
     with tempfile.TemporaryDirectory() as tmp, redirect_stderr(io.StringIO()) as err:
         code, _ = run(Path(tmp), command, config)
     assert code in (EXIT_OK, EXIT_BAD_CONFIG, EXIT_INFEASIBLE, EXIT_IO, EXIT_VERIFICATION)
+    assert code == EXIT_BAD_CONFIG or not misspell
     if code == EXIT_OK:
         assert err.getvalue() == ""
     else:

@@ -86,6 +86,15 @@ class TestScenario:
         with pytest.raises(ValueError, match=match):
             Scenario.from_dict(obj)
 
+    @pytest.mark.parametrize("extra, match", [
+        ({"boundry": "circular", "Beta": 3}, "unknown field 'boundry'"),
+        ({1: 2}, "unknown field 1"),
+    ], ids=["misspelt-field", "non-string-key"])
+    def test_from_dict_rejects_unknown_fields(self, extra, match):
+        # each was ignored: a misspelt boundary gave a zero-padded scenario
+        with pytest.raises(ValueError, match=match):
+            Scenario.from_dict({**_FIELDS, **extra})
+
     @pytest.mark.parametrize("field", ["T", "N", "s", "beta", "c_veh"])
     def test_counts_bounded_by_int32(self, field):
         most = 2**20 if field == "T" else 2**31 - 1
