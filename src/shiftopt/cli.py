@@ -239,8 +239,8 @@ def _cmd_compare(base: Scenario, config: dict) -> dict[str, str]:
         opt = benchmark.agnostic_optimum_closed_form(scenario)
         results = [planner.plan(scenario)]
         try:  # a standard's desired supply with no float64 square is rejected
-            results += [planner.plan_baseline(scenario, supply[name](scenario, c))
-                        for name, c in standards]
+            results += planner.plan_baselines(
+                scenario, [supply[name](scenario, c) for name, c in standards])
         except ValueError as exc:
             raise ConfigError(f"N={n}: {exc}") from exc
         gaps = [benchmark.gap(r.true_reward, opt) for r in results]

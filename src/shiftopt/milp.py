@@ -10,6 +10,11 @@ feasible point raises `PlanningError` where HiGHS reports it.
 
 HiGHS is called through SciPy's private bundled bindings (SciPy >= 1.15),
 in `linprog` only: a separate function because the benchmark hooks it.
+A model may be re-solved with new costs: `lp_solve` given a `HotStart`
+keeps the HiGHS model of each LP it solves, and an LP whose rows and column
+bounds equal the last one's changes only the costs and runs HiGHS's dual
+simplex again from the last optimal basis (Huangfu & Hall 2018, Math. Prog.
+Comp. 10(1)).
 """
 
 from __future__ import annotations
@@ -42,6 +47,12 @@ DUAL_TOL = 1e-10
 HIGHS_OPTIONS = (("output_flag", False), ("simplex_strategy", 1), ("presolve", "off"),
                  ("dual_feasibility_tolerance", DUAL_TOL),
                  ("dual_simplex_cost_perturbation_multiplier", 0.0))
+# lp_solve hands HiGHS the costs times this power of two and divides the optimum by it, both
+# exact. Where demand is far above supply, consecutive chord gains differ by about a^2/d, and
+# DUAL_TOL, being absolute, lets HiGHS stop with such gains unused: 2**10 brings it to about
+# 1e-13 of a unit gain. Fixed, not drawn from the costs: the gains left unused are the reward's,
+# at most a, and scaling to the largest |c| would loosen the tolerance wherever a > 1
+COST_SCALE = 2.0**10
 
 
 class PlanningError(Exception):
@@ -100,50 +111,82 @@ class MilpSolution:
     nodes_explored: int  # LP solves
 
 
-def linprog(c, *, A_eq, b_eq, row_lower, lower, upper):
+class HotStart:
+    """The last model that `lp_solve` solved optimally through this object, with its HiGHS
+    model. The next LP reuses that HiGHS model where only its costs differ."""
+
+    def __init__(self):
+        self.model: MilpModel | None = None
+        self.highs = None
+
+    def holds(self, model: MilpModel) -> bool:
+        """Whether model has the last model's rows, right-hand sides and column bounds."""
+        return self.model is not None and all(map(np.array_equal, _rows_and_bounds(self.model),
+                                                  _rows_and_bounds(model)))
+
+
+def _rows_and_bounds(model: MilpModel) -> tuple:
+    A = model.A_eq  # canonical CSC: equal matrices have equal arrays
+    return A.indptr, A.indices, A.data, model.b_eq, model.row_lower, model.lower, model.upper
+
+
+def linprog(c, *, A_eq, b_eq, row_lower, lower, upper, highs=None):
     """min c·v  s.t.  row_lower <= A_eq v <= b_eq, lower <= v <= upper by HiGHS's dual simplex
     with HIGHS_OPTIONS (RuntimeError naming an option HiGHS rejects): HiGHS's model `status`,
-    optimum `x` and `fun` (None unless optimal) and iterations `nit`. Its name, `c` first,
-    `A_eq` by keyword and `nit` are what the benchmark's `milp.highs` layer wraps and reads."""
-    highs = _Highs()
-    for option, value in HIGHS_OPTIONS:  # a rejected option returns kError, and raises nothing
-        if highs.setOptionValue(option, value) != HighsStatus.kOk:
-            raise RuntimeError(f"HiGHS rejected option {option} = {value!r}")
-    # columns, rows, nonzeros, format, sense, offset, costs, column and row bounds, CSC
-    # arrays (canonical, from MilpModel) and integrality (continuous), read as buffers
+    optimum `x` and `fun` (None unless optimal), iterations `nit` and the HiGHS model `highs`.
+    Given `highs`, a former result's model of an LP with these rows and bounds, only the costs
+    change and HiGHS runs again from its basis. Its name, `c` first, `A_eq` by keyword and
+    `nit` are what the benchmark's `milp.highs` layer wraps and reads."""
     m, n = A_eq.shape
-    loaded = highs.passModel(n, m, A_eq.nnz, MatrixFormat.kColwise, ObjSense.kMinimize, 0.0,
-                             c, lower, upper, row_lower, b_eq, A_eq.indptr, A_eq.indices,
-                             A_eq.data, np.zeros(n, np.int32)) != HighsStatus.kError
+    if highs is not None:
+        loaded = highs.changeColsCost(n, np.arange(n, dtype=np.int32), c) != HighsStatus.kError
+    else:
+        highs = _Highs()
+        for option, value in HIGHS_OPTIONS:  # a rejected option returns kError, and raises nothing
+            if highs.setOptionValue(option, value) != HighsStatus.kOk:
+                raise RuntimeError(f"HiGHS rejected option {option} = {value!r}")
+        # columns, rows, nonzeros, format, sense, offset, costs, column and row bounds, CSC
+        # arrays (canonical, from MilpModel) and integrality (continuous), read as buffers
+        loaded = highs.passModel(n, m, A_eq.nnz, MatrixFormat.kColwise, ObjSense.kMinimize, 0.0,
+                                 c, lower, upper, row_lower, b_eq, A_eq.indptr, A_eq.indices,
+                                 A_eq.data, np.zeros(n, np.int32)) != HighsStatus.kError
     if loaded:  # else HiGHS read a value as infinite: a model error
         highs.run()
     status = highs.getModelStatus() if loaded else HighsModelStatus.kModelError
     optimal, info = status == HighsModelStatus.kOptimal, highs.getInfo()
     return OptimizeResult(status=status, nit=max(info.simplex_iteration_count, 0),
                           x=np.array(highs.getSolution().col_value) if optimal else None,
-                          fun=info.objective_function_value if optimal else None)
+                          fun=info.objective_function_value if optimal else None, highs=highs)
 
 
-def lp_solve(model: MilpModel) -> MilpSolution:
+def lp_solve(model: MilpModel, hot: HotStart | None = None) -> MilpSolution:
     """Solve the LP relaxation (integrality ignored) with one HiGHS call, or raise
-    PlanningError where HiGHS reports the model infeasible or in error."""
-    res = linprog(-model.objective, A_eq=model.A_eq, b_eq=model.b_eq,
-                  row_lower=model.row_lower, lower=model.lower, upper=model.upper)
+    PlanningError where HiGHS reports the model infeasible or in error. Given `hot`, the
+    HiGHS model of its last LP is re-solved where `hot.holds(model)`, and is then replaced
+    by this LP's."""
+    reuse = hot is not None and hot.holds(model)
+    res = linprog(-COST_SCALE * model.objective, A_eq=model.A_eq, b_eq=model.b_eq,
+                  row_lower=model.row_lower, lower=model.lower, upper=model.upper,
+                  highs=hot.highs if reuse else None)
     if res.status in (HighsModelStatus.kInfeasible, HighsModelStatus.kModelError):
         raise PlanningError("no plan: solver status infeasible")
     if res.status != HighsModelStatus.kOptimal:
         raise RuntimeError(f"LP backend failed: HiGHS model status {res.status.name}")
-    return MilpSolution(values=res.x, objective=model.constant - res.fun, nodes_explored=1)
+    if hot is not None:
+        hot.model, hot.highs = model, res.highs
+    return MilpSolution(values=res.x, objective=model.constant - res.fun / COST_SCALE,
+                        nodes_explored=1)
 
 
-def milp_solve(model: MilpModel) -> MilpSolution:
+def milp_solve(model: MilpModel, hot: HotStart | None = None) -> MilpSolution:
     """Integer optimum of a model whose LP optimum is integral.
 
     Raises RuntimeError if any column of the LP optimum is more than INT_TOL
     from an integer: the model is then not totally unimodular with integral
     bounds and right-hand sides. The optimum is never rounded silently.
+    `hot` is passed on to lp_solve.
     """
-    sol = lp_solve(model)
+    sol = lp_solve(model, hot)
     values = np.rint(sol.values)
     off = np.abs(sol.values - values)
     if np.any(off > INT_TOL):

@@ -14,7 +14,8 @@ yields an integral optimum. `plan` and `plan_baseline` solve
 a coarse envelope, then per-step windows of the fine one around its optimum
 (proximity scaling for separable concave objectives; Hochbaum 1994, Math. OR
 19(2)), and the full program only when the windowed optimum does not
-certify itself.
+certify itself. `plan_baselines` solves one scenario's baselines on one
+HiGHS model where their programs differ only in the gains.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .domain import (
     total_reward,
     window_ends,
 )
-from .milp import MilpModel, PlanningError, milp_solve  # noqa: F401 (the error plan raises)
+from .milp import HotStart, MilpModel, PlanningError, milp_solve  # noqa: F401 (plan raises it)
 from .piecewise import Envelopes, concavify_reward, convexify_sq_dev
 
 __all__ = [
@@ -44,6 +45,7 @@ __all__ = [
     "build_reward_mip",
     "plan",
     "plan_baseline",
+    "plan_baselines",
 ]
 
 _COARSE_PIECES = 64  # round 1 splits [0, y_max] into at most this many pieces
@@ -129,7 +131,8 @@ def build_deviation_mip(scenario: Scenario, desired: np.ndarray) -> MilpModel:
     return _named(_segment_model(scenario, env), env)
 
 
-def _solve(scenario: Scenario, envelopes: Callable[..., Envelopes], *params) -> PlanResult:
+def _solve(scenario: Scenario, envelopes: Callable[..., Envelopes], *params,
+           hot: HotStart | None = None) -> PlanResult:
     """Optimum of the full program, in at most three LP rounds.
 
     `envelopes(*params, lo, hi, stride)` builds every step's envelope. Round
@@ -139,17 +142,19 @@ def _solve(scenario: Scenario, envelopes: Callable[..., Envelopes], *params) -> 
     window side other than 0 or y_max, its windowed objective equals the full
     envelope on a neighbourhood of its optimum, so by concavity that optimum
     is also optimal for the full program. Otherwise round 3 solves the full
-    program.
+    program. Given `hot`, a one-round solve goes through it; the windowed
+    rounds, whose windows follow the optimum, always start a new HiGHS model.
     """
     T, y_max = scenario.T, _y_max(scenario)
     stride = -(-y_max // _COARSE_PIECES)
 
-    def solve(lo, hi, stride=1):
+    def solve(lo, hi, stride=1, hot=None):
         env = envelopes(*params, lo, hi, stride)
-        sol = milp_solve(_segment_model(scenario, env))
+        model = _segment_model(scenario, env)
+        sol = milp_solve(model) if hot is None else milp_solve(model, hot)
         return env, sol, env.start + np.bincount(env.step, sol.values[2 * T :], T).astype(np.int64)
 
-    env, sol, y = solve(0, y_max, stride)
+    env, sol, y = solve(0, y_max, stride, hot if stride == 1 else None)
     rounds = 1
     if stride > 1:
         lo, hi = np.maximum(y - _REACH * stride, 0), np.minimum(y + _REACH * stride, y_max)
@@ -173,6 +178,17 @@ def plan(scenario: Scenario) -> PlanResult:
     return _solve(scenario, concavify_reward, demand_vector(scenario), scenario.a)
 
 
-def plan_baseline(scenario: Scenario, desired: np.ndarray) -> PlanResult:
-    """Solve the deviation-minimizing program: the feasible plan closest to `desired`."""
-    return _solve(scenario, convexify_sq_dev, _targets(scenario, desired))
+def plan_baseline(scenario: Scenario, desired: np.ndarray, *,
+                  hot: HotStart | None = None) -> PlanResult:
+    """Solve the deviation-minimizing program: the feasible plan closest to `desired`.
+    `hot` is plan_baselines' HiGHS model, shared by one scenario's baselines."""
+    return _solve(scenario, convexify_sq_dev, _targets(scenario, desired), hot=hot)
+
+
+def plan_baselines(scenario: Scenario, desired_list) -> list[PlanResult]:
+    """plan_baseline for each desired supply, in order. Where y_max <= 64 each baseline is one
+    LP; one whose rows and bounds equal the last one's differs from it only in the gains, and
+    HiGHS re-solves it from the last optimal basis instead of from scratch. The rows are
+    compared, not assumed equal: near DESIRED_MAX rounding merges chords, changing the columns."""
+    hot = HotStart()
+    return [plan_baseline(scenario, desired, hot=hot) for desired in desired_list]

@@ -66,6 +66,30 @@ def best_plan_by_enumeration(scenario: Scenario):
     return best, best_plan
 
 
+def best_reward_by_array_enumeration(scenario: Scenario) -> float:
+    """The best total_reward_by_loop over the feasible plans of a zero-padded
+    scenario, every plan one row of one array: for horizons too long for
+    best_plan_by_enumeration, which visits (min(N, s*N) + 1)**T candidates.
+    A plan is the multiset of its s*N (at most 127) shift starts."""
+    assert scenario.boundary is Boundary.ZERO_PADDED and scenario.total_shifts < 128
+    T, total = scenario.T, scenario.total_shifts
+    starts = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(range(T), total)), dtype=np.intp).reshape(-1, total)
+    x = np.zeros((len(starts), T), dtype=np.int8)
+    np.add.at(x, (np.repeat(np.arange(len(starts)), total), starts.ravel()), 1)
+    cum = np.pad(np.cumsum(x, axis=1, dtype=np.int8), ((0, 0), (1, 0)))
+    t = np.arange(1, T + 1)
+    y = cum[:, t] - cum[:, np.maximum(t - scenario.delta, 0)]
+    z = cum[:, t] - cum[:, np.maximum(t - scenario.delta - scenario.beta, 0)]
+    y = y[(x.max(axis=1) <= scenario.N) & (y.max(axis=1) <= scenario.c_veh)
+          & (z.max(axis=1) <= scenario.N)]
+    total_reward = np.zeros(len(y))
+    for step, d in enumerate(demand_by_loop(scenario).tolist()):  # in step order, as the loop
+        table = [reward(float(k), RewardParams(d=d, a=scenario.a)) for k in range(y.max() + 1)]
+        total_reward += np.array(table)[y[:, step]]
+    return float(total_reward.max())
+
+
 def sample_feasible_plan(scenario: Scenario, rng: np.random.Generator, tries: int = 500):
     """Rejection-sample a plan satisfying the constraints, or None."""
     total = scenario.total_shifts

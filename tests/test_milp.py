@@ -199,7 +199,9 @@ def _reference_solve(model):
     lp.num_col_ = lp.a_matrix_.num_col_ = model.n_vars
     lp.num_row_ = lp.a_matrix_.num_row_ = len(model.b_eq)
     lp.a_matrix_.format_ = MatrixFormat.kColwise
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = -model.objective, model.lower, model.upper
+    # lp_solve's costs, scaled by milp.COST_SCALE, and its optimum, scaled back
+    lp.col_cost_ = -milp.COST_SCALE * model.objective
+    lp.col_lower_, lp.col_upper_ = model.lower, model.upper
     lp.row_lower_, lp.row_upper_ = model.row_lower, model.b_eq
     lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = A.indptr, A.indices, A.data
     highs = _Highs()
@@ -215,7 +217,7 @@ def _reference_solve(model):
     ref = scipy.optimize.OptimizeResult(
         status=0 if optimal else 2, nit=max(info.simplex_iteration_count, 0),
         x=np.array(highs.getSolution().col_value) if optimal else None,
-        fun=info.objective_function_value if optimal else None)
+        fun=info.objective_function_value / milp.COST_SCALE if optimal else None)
     second = scipy.optimize.linprog(
         -model.objective, A_ub=A[ub], b_ub=model.b_eq[ub], A_eq=A[~ub], b_eq=model.b_eq[~ub],
         bounds=np.column_stack([model.lower, model.upper]), method="highs",

@@ -18,6 +18,7 @@ API = {
     "MilpModel", "MilpSolution", "PlanningError", "export_lp", "lp_solve", "milp_solve",
     "Envelopes", "concavify_reward", "convexify_sq_dev",
     "PlanResult", "build_deviation_mip", "build_reward_mip", "plan", "plan_baseline",
+    "plan_baselines",
     "ExtendedShift", "Roster", "VerificationReport", "greedy_assign", "overlap", "rebalance",
     "roster_to_csv", "verify_roster",
 }
@@ -31,7 +32,7 @@ def test_public_names():
          "import shiftopt; print(*(n for n in dir(shiftopt) if not n.startswith('_')))"],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
     ).stdout.split()
-    assert len(API) == 39
+    assert len(API) == 40
     assert sorted(names) == sorted(API | set(MODULES))
 
 

@@ -1,5 +1,8 @@
+import importlib.util
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,13 +24,24 @@ from shiftopt import (
     milp_solve,
     plan,
     plan_baseline,
+    plan_baselines,
     service_standard_supply,
     supply_curve,
     total_reward,
 )
-from shiftopt import milp, planner
+from shiftopt import cli, milp, planner
+from shiftopt.domain import DESIRED_MAX
 
-from oracles import best_plan_by_enumeration, parse_lp, solve_parsed_lp, window_form_model
+from oracles import (
+    best_plan_by_enumeration,
+    best_reward_by_array_enumeration,
+    parse_lp,
+    solve_parsed_lp,
+    total_reward_by_loop,
+    window_form_model,
+)
+
+_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 
 def small_scenario(**kw):
@@ -212,6 +226,33 @@ class TestPlan:
         assert result.nodes == 1
         assert math.isclose(result.mip_objective, want.objective, rel_tol=1e-12)
 
+    def test_exact_where_demand_dwarfs_supply(self):
+        # at d_max 1e12 consecutive chord gains differ by about a**2/d = 4e-12, below
+        # milp.DUAL_TOL: HiGHS sees them scaled by milp.COST_SCALE
+        sc = Scenario(T=24, N=3, s=2, delta=4, beta=2, d_max=1e12, a=2.0, c_veh=3)
+        best = best_reward_by_array_enumeration(sc)
+        assert math.isclose(total_reward_by_loop(plan(sc).plan, sc), best, rel_tol=1e-13)
+
+    @settings(max_examples=40, deadline=None)
+    @given(T=st.integers(3, 6), N=st.integers(1, 2), s=st.integers(1, 2), delta=st.integers(1, 2),
+           beta=st.integers(0, 1), log_d_max=st.floats(0.0, 15.0), a=st.floats(0.5, 3.0),
+           c_veh=st.integers(1, 4), boundary=st.sampled_from(list(Boundary)))
+    # the unscaled LP stopped with the gain difference between steps 2 and 3 unused
+    @example(T=4, N=1, s=1, delta=1, beta=0, log_d_max=11.0, a=1.0, c_veh=1,
+             boundary=Boundary.ZERO_PADDED)
+    def test_exact_at_any_demand_scale(self, T, N, s, delta, beta, log_d_max, a, c_veh,
+                                       boundary):
+        """The plan's reward is the enumerated best within 1e-12 relative, with d_max
+        log-uniform up to 1e15, where chord gains differ by as little as a**2/d."""
+        sc = Scenario(T=T, N=N, s=s, delta=delta, beta=beta, d_max=10.0**log_d_max, a=a,
+                      c_veh=c_veh, boundary=boundary)
+        best, _ = best_plan_by_enumeration(sc)
+        if best is None:
+            with pytest.raises(PlanningError):
+                plan(sc)
+        else:  # the enumeration keeps a plan within 1e-12 of the best it has seen
+            assert total_reward_by_loop(plan(sc).plan, sc) >= best * (1 - 1e-12)
+
     @pytest.mark.parametrize("s, want", [(1, [0, 0, 0, 1, 0, 1, 0, 1, 0, 0, 0, 0]), (2, None)])
     def test_circular_extended_shift_of_the_whole_horizon(self, s, want):
         # delta + beta = T: every cap row is X_t - X_t <= N - sN, a row without entries
@@ -371,6 +412,86 @@ class TestPlanBaseline:
         for desired in (service_standard_supply(sc, 0.8), economic_standard_supply(sc, 1.0)):
             base = plan_baseline(sc, desired)
             assert base.true_reward <= ours.true_reward + 1e-9
+
+
+@st.composite
+def _scenario_and_supplies(draw):
+    """A small scenario (y_max <= 8: one LP per baseline) and 2 to 5 desired supplies, with
+    whole targets, whose deviations tie between neighbouring supplies, among them."""
+    T = draw(st.integers(3, 12))
+    sc = Scenario(T=T, N=draw(st.integers(1, 4)), s=draw(st.integers(1, 2)),
+                  delta=draw(st.integers(1, min(4, T))), beta=draw(st.integers(0, 3)),
+                  d_max=draw(st.floats(0.5, 8.0)), a=draw(st.floats(0.5, 3.0)),
+                  c_veh=draw(st.integers(1, 8)), boundary=draw(st.sampled_from(list(Boundary))))
+    target = st.one_of(st.integers(0, 8).map(float), st.floats(0.0, 8.0))
+    return sc, draw(st.lists(st.lists(target, min_size=T, max_size=T), min_size=2, max_size=5))
+
+
+class TestPlanBaselines:
+    @settings(max_examples=40, deadline=None)
+    @given(_scenario_and_supplies())
+    def test_equal_to_one_baseline_at_a_time(self, drawn):
+        """Plans differ only where the deviation objective ties."""
+        sc, desired = drawn
+        try:
+            cold = [plan_baseline(sc, d) for d in desired]
+        except PlanningError:
+            with pytest.raises(PlanningError):
+                plan_baselines(sc, desired)
+            return
+        hot = plan_baselines(sc, desired)
+        assert len(hot) == len(cold)
+        for h, c in zip(hot, cold):
+            assert math.isclose(h.mip_objective, c.mip_objective, rel_tol=1e-12, abs_tol=1e-12)
+            if np.array_equal(h.plan.x, c.plan.x):
+                assert math.isclose(h.true_reward, c.true_reward, rel_tol=1e-12)
+
+    def test_new_highs_model_where_columns_or_rounds_differ(self, monkeypatch):
+        new = []  # per linprog call: whether it was handed no HiGHS model
+        real = milp.linprog
+        monkeypatch.setattr(milp, "linprog",
+                            lambda c, **kw: new.append(kw["highs"] is None) or real(c, **kw))
+        sc = small_scenario()
+        near = np.full(sc.T, 1.0)
+        # squares near DESIRED_MAX round to equal chord slopes, which merge: fewer columns
+        assert len(convexify_sq_dev(np.full(sc.T, DESIRED_MAX), 0, 4).pieces) < 4 * sc.T
+        plan_baselines(sc, [near, near + 1.5, np.full(sc.T, DESIRED_MAX), near])
+        assert new == [True, False, True, True]
+        # y_max = 100: windowed rounds, whose windows follow the targets
+        new.clear()
+        sc = Scenario(T=48, N=120, s=2, delta=6, beta=4, d_max=120.0, a=2.0, c_veh=100)
+        desired = [service_standard_supply(sc, 0.8), economic_standard_supply(sc, 1.0)]
+        results = plan_baselines(sc, desired)
+        assert all(new) and len(new) == sum(r.nodes for r in results) >= 4
+
+    def test_hot_start_cuts_compare_iterations(self, monkeypatch, tmp_path):
+        """The benchmark's seed-7 compare config: hot-started baselines take under 60% of
+        the HiGHS iterations of one cold solve each. HiGHS is deterministic, so a hot start
+        that silently went cold fails here."""
+        monkeypatch.syspath_prepend(str(_WORKLOADS.parent))
+        spec = importlib.util.spec_from_file_location("bench_workloads", _WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        config = tmp_path / "compare.json"
+        config.write_text(json.dumps(workloads.cli_studies(7)[0]["config"]))
+        baselines = []
+        real = planner.plan_baselines
+        monkeypatch.setattr(planner, "plan_baselines",
+                            lambda *args: baselines.append(args) or real(*args))
+        assert cli.main(["compare", "--config", str(config), "--out", str(tmp_path)]) == 0
+        assert len(baselines) == 5
+        nits = []
+        real_linprog = milp.linprog
+        monkeypatch.setattr(milp, "linprog",
+                            lambda c, **kw: nits.append(real_linprog(c, **kw)) or nits[-1])
+        hot = [real(sc, desired) for sc, desired in baselines]
+        hot_nit = sum(r.nit for r in nits)
+        nits.clear()
+        cold = [[plan_baseline(sc, d) for d in desired] for sc, desired in baselines]
+        assert len(nits) == 40 and sum(r.nit for r in nits) * 0.6 > hot_nit
+        for h, c in zip(hot, cold):
+            assert [r.mip_objective for r in h] == pytest.approx([r.mip_objective for r in c],
+                                                                rel=1e-12)
 
 
 def _full_and_windowed(sc: Scenario, kind: str):
