@@ -5,7 +5,10 @@ and JSON files. A config's kind sets the commands that take it and the keys
 it may hold besides kind and scenario; any other key is a bad config. Every
 file is computed before the first is written, and each is replaced
 atomically (temp file + rename): no file is left half written, but an I/O
-error part-way keeps the files written before it. Exit codes:
+error part-way keeps the files written before it. `compare` and `sweep` solve
+their sweep values on the CPUs that the process may use (`taskset -c 0` makes
+them serial); their files, error lines and exit codes are those of one
+value after another. Exit codes:
 0 ok, 2 bad config, 3 infeasible, 4 I/O error, 5 roster verification failure.
 """
 
@@ -19,6 +22,7 @@ import json
 import math
 import os
 import sys
+import threading
 
 import numpy as np
 
@@ -199,12 +203,63 @@ def _sweep_scenarios(base: Scenario, config: dict) -> list[tuple[float, Scenario
     return out
 
 
+def _each(fn, items: list) -> list:
+    """[fn(item) for item in items], on the calling thread and one helper thread per further
+    CPU that the process may use: HiGHS releases the GIL while it solves. Helpers take items
+    from the front and the caller from the back, so that the caller solves the largest of
+    ascending sweep values: each helper thread adds a malloc arena, which keeps what the
+    helper freed. The exception of the first item, in input order, that raised is raised,
+    and no item after it is started once it has raised."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        cpus = os.cpu_count() or 1
+    results, errors = [None] * len(items), [None] * len(items)
+    lock = threading.Lock()
+    todo = [0, len(items)]  # items todo[0] to todo[1] - 1 are not yet taken
+
+    def work(front: bool) -> None:
+        while True:
+            with lock:
+                if todo[0] == todo[1]:
+                    return
+                if front:
+                    i = todo[0]
+                    todo[0] += 1
+                else:
+                    todo[1] -= 1
+                    i = todo[1]
+            try:
+                results[i] = fn(items[i])
+            except Exception as exc:
+                errors[i] = exc
+                with lock:  # items after i no longer decide what is raised
+                    todo[1] = max(todo[0], min(todo[1], i + 1))
+
+    helpers = [threading.Thread(target=work, args=(True,))
+               for _ in range(min(cpus, len(items)) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work(not helpers)  # alone, the caller goes from the front, as a plain loop does
+    finally:
+        with lock:  # an interrupt in the caller: the helpers start no more items
+            todo[1] = todo[0]
+        for helper in helpers:
+            helper.join()
+    exc = next((e for e in errors if e is not None), None)
+    if exc is not None:
+        raise exc
+    return results
+
+
 def _cmd_sweep(base: Scenario, config: dict) -> dict[str, str]:
+    scenarios = _sweep_scenarios(base, config)
+    solved = _each(lambda item: (planner.plan(item[1]),
+                                 benchmark.agnostic_optimum_closed_form(item[1])), scenarios)
     rows = []
     supply_rows = []
-    for value, scenario in _sweep_scenarios(base, config):
-        result = planner.plan(scenario)
-        opt = benchmark.agnostic_optimum_closed_form(scenario)
+    for (value, scenario), (result, opt) in zip(scenarios, solved):
         rows.append([value, benchmark.gap(result.true_reward, opt), result.true_reward,
                      opt.r_star, result.nodes])
         norm = float(scenario.working_time)
@@ -232,9 +287,9 @@ def _cmd_compare(base: Scenario, config: dict) -> dict[str, str]:
     standards = [("service", c_frac), ("economic", c_cost)] + robust
     supply = {"service": benchmark.service_standard_supply,
               "economic": benchmark.economic_standard_supply}
-    rows = []
-    robust_rows = []
-    for n in (int(v) for v in values):
+
+    # each count derives its own scenario: a bad one must not win over an earlier count's error
+    def gaps(n: int) -> list[float]:
         scenario = _with_drivers(base, n, config)
         opt = benchmark.agnostic_optimum_closed_form(scenario)
         results = [planner.plan(scenario)]
@@ -243,9 +298,14 @@ def _cmd_compare(base: Scenario, config: dict) -> dict[str, str]:
                 scenario, [supply[name](scenario, c) for name, c in standards])
         except ValueError as exc:
             raise ConfigError(f"N={n}: {exc}") from exc
-        gaps = [benchmark.gap(r.true_reward, opt) for r in results]
-        rows.append([n] + gaps[:3])
-        robust_rows += [[name, c, n, g] for (name, c), g in zip(robust, gaps[3:])]
+        return [benchmark.gap(r.true_reward, opt) for r in results]
+
+    counts = [int(v) for v in values]
+    rows = []
+    robust_rows = []
+    for n, g in zip(counts, _each(gaps, counts)):
+        rows.append([n] + g[:3])
+        robust_rows += [[name, c, n, gap] for (name, c), gap in zip(robust, g[3:])]
     return {
         "compare.csv": _csv_text(["N", "gap_ours", "gap_service", "gap_economic"], rows),
         "robustness.csv": _csv_text(["standard", "c", "N", "relative_gap"], robust_rows),

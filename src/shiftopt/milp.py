@@ -113,7 +113,8 @@ class MilpSolution:
 
 class HotStart:
     """The last model that `lp_solve` solved optimally through this object, with its HiGHS
-    model. The next LP reuses that HiGHS model where only its costs differ."""
+    model. The next LP reuses that HiGHS model where only its costs differ. An instance belongs
+    to one thread and must never be shared: two threads would run one HiGHS model at once."""
 
     def __init__(self):
         self.model: MilpModel | None = None

@@ -3,7 +3,9 @@ import io
 import json
 import math
 import os
+import sys
 import tempfile
+import threading
 import time
 from contextlib import redirect_stderr
 from pathlib import Path
@@ -20,6 +22,7 @@ from shiftopt.cli import (
     EXIT_OK,
     EXIT_VERIFICATION,
     _KINDS,
+    _each,
     main,
 )
 
@@ -649,3 +652,105 @@ class TestExportLpCommand:
         for section in ("Maximize", "Subject To", "Bounds", "Generals", "End"):
             assert section in text
         assert "\r" not in text
+
+
+def _cpus(monkeypatch, n):
+    """The process may run on n CPUs, as far as the CLI can tell."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+class TestSweepValuesOnThreads:
+    """compare and sweep solve their sweep values on every CPU the process may use, with
+    the files, error lines and exit codes of a serial loop."""
+
+    def test_each_item_runs_once_under_contention(self, monkeypatch):
+        # more threads than this host's CPUs, switching as often as the interpreter allows
+        _cpus(monkeypatch, 16)
+        seen, result = [], []
+
+        def fn(v):
+            seen.append(v)
+            return -v
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=lambda: result.append(_each(fn, list(range(500)))))
+            worker.start()
+            worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert result == [[-v for v in range(500)]] and sorted(seen) == list(range(500))
+        assert _each(fn, []) == []
+
+    def test_one_cpu_is_a_plain_loop(self, monkeypatch):
+        _cpus(monkeypatch, 1)
+        seen = []
+
+        def fn(v):
+            seen.append((v, threading.current_thread() is threading.main_thread()))
+            if v == 1:
+                raise ValueError(v)
+            return v
+
+        with pytest.raises(ValueError, match="1"):
+            _each(fn, [0, 1, 2])
+        assert seen == [(0, True), (1, True)]  # nothing after the failure starts
+
+    def test_first_failure_in_input_order_wins(self, monkeypatch):
+        _cpus(monkeypatch, 4)
+        item2_raised = threading.Event()
+        raised = []
+
+        def fn(v):
+            if v == 0:
+                assert item2_raised.wait(timeout=60)
+            if v == 1:
+                return v
+            raised.append(v)
+            if v == 2:
+                item2_raised.set()
+            raise ValueError(f"item {v}")
+
+        with pytest.raises(ValueError, match="item 0"):
+            _each(fn, [0, 1, 2])
+        assert raised == [2, 0]
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_first_failure_decides_the_exit_code(self, tmp_path, capsys, monkeypatch, cpus):
+        # N = 1 is infeasible (exit 3); the later 1e20 drivers give a bad scenario (exit 2)
+        _cpus(monkeypatch, cpus)
+        config = {
+            "kind": "compare_baselines",
+            "scenario": {"T": 3, "N": 1, "s": 2, "delta": 2, "beta": 2, "d_max": 3.0,
+                         "a": 2.0, "c_veh": 1},
+            "sweep_values": [0, 1, 100000000000000000000],
+            "service_fraction": 0.8,
+            "economic_cost": 1.0,
+        }
+        code, out = run(tmp_path, "compare", config)
+        assert code == EXIT_INFEASIBLE
+        assert capsys.readouterr().err == "error: no plan: solver status infeasible\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, config", [
+        # N = 0 has no drivers; N = 70 (y_max > 64) is planned in windowed rounds
+        ("compare", _compare_config(scenario=base_scenario(T=24, s=2, delta=3, beta=2),
+                                    sweep_values=[0, 2, 5, 70, 3], d_max_per_driver=1.2)),
+        ("sweep", {"kind": "sweep_drivers", "scenario": base_scenario(T=24),
+                   "sweep_values": [1, 2, 3, 5, 8], "d_max_per_driver": 1.5}),
+        ("sweep", {"kind": "sweep_shifts_per_driver",
+                   "scenario": base_scenario(T=24, N=6, s=2, c_veh=6),
+                   "sweep_values": [1, 2, 3, 4, 6]}),
+    ])
+    def test_same_bytes_on_one_and_four_cpus(self, tmp_path, monkeypatch, command, config):
+        files = []
+        for cpus in (1, 4):
+            _cpus(monkeypatch, cpus)
+            (tmp_path / str(cpus)).mkdir()
+            code, out = run(tmp_path / str(cpus), command, config)
+            assert code == EXIT_OK
+            files.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(files[0]) == 2
+        assert files[0] == files[1]
