@@ -1,14 +1,17 @@
+import importlib.util
 import itertools
 import math
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
-from scipy.optimize._highspy._core import (HighsLp, HighsModelStatus, HighsStatus, MatrixFormat,
-                                           _Highs)
+from scipy.optimize._highspy._core import (HighsBasis, HighsBasisStatus, HighsLp,
+                                           HighsModelStatus, HighsStatus, MatrixFormat, _Highs)
 
 from shiftopt import (
     Boundary,
@@ -188,9 +191,10 @@ class TestMilpSolve:
         assert sol.objective == 3.0 * 2 + 2.0 * 3 + 0.5
 
 
-def _reference_solve(model):
+def _reference_solve(model, crash=True):
     """HiGHS on the model passed as a `HighsLp`, with lp_solve's options set
-    one by one: `status` (optimal, or 2 where HiGHS reports the model
+    one by one and, unless `crash` is False, lp_solve's crash basis built
+    row by row: `status` (optimal, or 2 where HiGHS reports the model
     infeasible or in error), the optimum `x` and `fun` and iterations `nit`.
     `scipy.optimize.linprog`, given the `<=` rows as A_ub, must report the
     same status and, within 1e-9 relative, the same optimum."""
@@ -208,6 +212,22 @@ def _reference_solve(model):
     for option, value in milp.HIGHS_OPTIONS:
         assert highs.setOptionValue(option, value) == HighsStatus.kOk
     loaded = highs.passModel(lp) != HighsStatus.kError
+    if loaded and crash:
+        # in each equality row, the last column whose one nonzero entry lies in that row is
+        # basic in place of the row's slack; every other column is nonbasic at its lower bound
+        dense = A.toarray()
+        entries = np.count_nonzero(dense, axis=0)
+        cols = [HighsBasisStatus.kLower] * model.n_vars
+        rows = [HighsBasisStatus.kBasic] * len(model.b_eq)
+        for i in range(len(model.b_eq)):
+            singletons = [j for j in np.flatnonzero(dense[i]) if entries[j] == 1]
+            if model.row_lower[i] == model.b_eq[i] and singletons:
+                cols[singletons[-1]] = HighsBasisStatus.kBasic
+                rows[i] = HighsBasisStatus.kLower
+        basis = HighsBasis()
+        basis.col_status, basis.row_status = cols, rows
+        basis.valid, basis.alien = True, False
+        assert highs.setBasis(basis) == HighsStatus.kOk
     if loaded:
         highs.run()
     status = highs.getModelStatus() if loaded else HighsModelStatus.kModelError
@@ -308,6 +328,95 @@ class TestHighsBackends:
             model([1.0], [0.0], [1.0], A_eq=[[bad]], b_eq=[1.0])
         with pytest.raises(ValueError, match="finite"):
             model([1.0], [0.0], [1.0], A_eq=[[1.0]], b_eq=[bad])
+
+
+_BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _small_plans(seed):
+    """The benchmark's small-plans scenarios at `seed` (bench/workloads.py)."""
+    def load(name):
+        spec = importlib.util.spec_from_file_location(name, _BENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(sys.modules, "checks", load("checks"))  # workloads imports it by name
+        return [Scenario.from_dict(sc) for sc in load("workloads").small_plans(seed)]
+
+
+def _crash_statuses(A, equality):
+    basis = milp._crash_basis(sparse.csc_matrix(A), np.asarray(equality))
+    return basis.col_status, basis.row_status
+
+
+BASIC, LOWER = HighsBasisStatus.kBasic, HighsBasisStatus.kLower
+
+
+class TestCrashBasis:
+    """A cold solve starts from `milp._crash_basis`: in each equality row that holds column
+    singletons, the last one is basic in place of the row's slack."""
+
+    def test_last_singleton_of_each_equality_row_is_basic(self):
+        # row 0 holds the singletons 0 and 2, row 1 holds 3; column 1 lies in both rows
+        cols, rows = _crash_statuses([[1.0, 1.0, -2.0, 0.0], [0.0, 1.0, 0.0, 5.0]], [True, True])
+        assert cols == [LOWER, LOWER, BASIC, BASIC]
+        assert rows == [LOWER, LOWER]
+
+    def test_le_rows_and_rows_without_singleton_keep_their_slack(self):
+        # row 0 is a `<=` row holding singleton 0; equality row 1 holds only column 1, which
+        # also lies in row 2; equality row 2 holds singleton 2
+        cols, rows = _crash_statuses([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 1.0]],
+                                     [False, True, True])
+        assert cols == [LOWER, LOWER, BASIC]
+        assert rows == [BASIC, BASIC, LOWER]
+
+    def test_explicit_zero_is_never_chosen(self):
+        # column 0 is 1.0 in row 0 and an explicit 0.0 in row 1: a singleton of row 0;
+        # column 1 holds only an explicit 0.0, in row 1: a singleton of no row
+        A = sparse.csc_matrix(([1.0, 0.0, 0.0], [0, 1, 1], [0, 2, 3]), shape=(2, 2))
+        assert A.nnz == 3
+        cols, rows = _crash_statuses(A, [True, True])
+        assert cols == [BASIC, LOWER]
+        assert rows == [LOWER, BASIC]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_exactly_m_basic(self, seed):
+        rng = np.random.default_rng(seed)
+        problem = _random_tu_problem(rng, n=int(rng.integers(2, 6)), width=int(rng.integers(2, 6)))
+        for m in (slack_model(**problem), le_model(**problem)):
+            cols, rows = _crash_statuses(m.A_eq, m.row_lower == m.b_eq)
+            assert cols.count(BASIC) + rows.count(BASIC) == len(m.b_eq)
+
+    def test_segment_model(self):
+        # x_t is basic in link row t and step t's top chord piece in supply row t; the cap
+        # rows are `<=` and X_T, the total row's one column, lies in other rows too
+        sc = Scenario(T=24, N=6, s=2, delta=4, beta=2, d_max=8.0, a=1.5, c_veh=5)
+        m, T = build_reward_mip(sc), sc.T
+        cols, rows = _crash_statuses(m.A_eq, m.row_lower == m.b_eq)
+        assert rows == [LOWER] * 2 * T + [BASIC] * (T + 1)
+        basic = [m.names[j] for j in range(m.n_vars) if cols[j] == BASIC]
+        tops = [[n for n in m.names if n.startswith(f"u_{t}_")][-1] for t in range(1, T + 1)]
+        assert basic == [f"x_{t}" for t in range(1, T + 1)] + tops
+
+    def test_basis_highs_rejects_raises(self, monkeypatch):
+        class Rejecting(_Highs):
+            def setBasis(self, basis):
+                return HighsStatus.kError
+
+        monkeypatch.setattr(milp, "_Highs", Rejecting)
+        with pytest.raises(RuntimeError, match="^HiGHS rejected the crash basis$"):
+            lp_solve(simple_model())
+
+    def test_fewer_iterations_than_the_slack_start(self):
+        # the first 30 small-plans scenarios of the benchmark at seed 7, one LP each: 5,565
+        # iterations from the crash basis and 7,633 from the all-slack basis
+        models = [m for sc in _small_plans(7)[:30] for m in _segment_models(lambda: plan(sc))]
+        assert len(models) == 30
+        ours = [milp_solve(m).iterations for m in models]
+        assert ours == [_reference_solve(m).nit for m in models]
+        assert sum(ours) <= 0.8 * sum(_reference_solve(m, crash=False).nit for m in models)
 
 
 def _random_tu_problem(rng, n, width):
