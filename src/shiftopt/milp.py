@@ -10,11 +10,12 @@ feasible point raises `PlanningError` where HiGHS reports it.
 
 HiGHS is called through SciPy's private bundled bindings (SciPy >= 1.15),
 in `linprog` only: a separate function because the benchmark hooks it.
-A cold solve starts HiGHS's dual simplex from a crash basis of column
-singletons, not from the all-slack basis, so that most equality rows' fixed
-slacks are out of the basis before the first iteration (Bixby 1992, ORSA
-J. Computing 4(3)). Where the LP has several optima the one HiGHS reaches
-may differ from the all-slack start's. A model may be re-solved with new
+A cold solve starts HiGHS's dual simplex from the basis the model names in
+`basic` (a triangular crash basis; Bixby 1992, ORSA J. Computing 4(3)). The
+model's builder knows its structure and can start each row near its optimal
+price (Maros & Mitra 1998, INFORMS J. Computing 10(2)); a model without
+`basic` starts from the all-slack basis. Where the LP has several optima the
+one HiGHS reaches depends on the start. A model may be re-solved with new
 costs: `lp_solve` given a `HotStart` keeps the HiGHS model of each LP it
 solves, and an LP whose rows and column bounds equal the last one's changes
 only the costs and runs HiGHS's dual simplex again from the last optimal
@@ -67,7 +68,10 @@ class PlanningError(Exception):
 class MilpModel:
     """max objective·v + constant  s.t.  row_lower <= A_eq v <= b_eq, lower <= v <= upper, with
     v_j integral where is_integer[j]. row_lower is b_eq (the default: an equality row) or -inf (a
-    `<=` row). A model without rows has a 0 x n A_eq. `names` are only read by `export_lp`."""
+    `<=` row). A model without rows has a 0 x n A_eq. `names` are only read by `export_lp`.
+    basic[i] >= 0 names a column whose one entry lies in row i, basic in place of row i's slack
+    at a cold start, and -1 keeps the slack: the start matrix is a permuted diagonal plus an
+    identity, so it is nonsingular. Without `basic` HiGHS starts from the all-slack basis."""
 
     objective: np.ndarray
     lower: np.ndarray
@@ -78,6 +82,7 @@ class MilpModel:
     names: list[str] | None = None
     constant: float = 0.0
     row_lower: np.ndarray | None = None
+    basic: np.ndarray | None = None
 
     def __post_init__(self):
         n = len(self.objective)
@@ -102,6 +107,21 @@ class MilpModel:
         object.__setattr__(self, "A_eq", A)
         object.__setattr__(self, "b_eq", b)
         object.__setattr__(self, "row_lower", lo)
+        if self.basic is not None:
+            basic = np.asarray(self.basic, dtype=np.int64)
+            if basic.shape != b.shape:
+                raise ValueError("basic must have one entry per row")
+            rows = np.flatnonzero(basic >= 0)
+            j = basic[rows]
+            ok = np.all(basic >= -1) and np.all(j < n)
+            if ok:  # one stored entry per named column, nonzero, in its row: none named twice
+                k = A.indptr[j]
+                ok = (np.all(A.indptr[j + 1] - k == 1) and np.array_equal(A.indices[k], rows)
+                      and np.all(A.data[k] != 0))
+            if not ok:
+                raise ValueError("basic must name -1 or a distinct column per row, whose one "
+                                 "entry is nonzero and lies in that row")
+            object.__setattr__(self, "basic", basic)
 
     @property
     def n_vars(self) -> int:
@@ -136,36 +156,16 @@ def _rows_and_bounds(model: MilpModel) -> tuple:
     return A.indptr, A.indices, A.data, model.b_eq, model.row_lower, model.lower, model.upper
 
 
-def _crash_basis(A: csc_matrix, equality: np.ndarray) -> HighsBasis:
-    """A triangular start (Bixby 1992): in each equality row that holds a column singleton (a
-    column whose one nonzero entry lies in that row), the last such column is basic in place of
-    the row's slack. Every other column is nonbasic at its lower bound, and HiGHS moves a boxed
-    one to its dual-feasible bound. The basis matrix is a permuted diagonal plus an identity,
-    so it is nonsingular."""
-    m, n = A.shape
-    cols = np.repeat(np.arange(n), np.diff(A.indptr))
-    nonzero = A.data != 0  # an explicit 0.0 entry is no entry
-    single = nonzero & (np.bincount(cols[nonzero], minlength=n)[cols] == 1) & equality[A.indices]
-    # entries run in column order: reversed, a row's first singleton entry is its last column
-    rows, first = np.unique(A.indices[single][::-1], return_index=True)
-    col_status = np.full(n, HighsBasisStatus.kLower, dtype=object)
-    col_status[cols[single][::-1][first]] = HighsBasisStatus.kBasic
-    row_status = np.full(m, HighsBasisStatus.kBasic, dtype=object)
-    row_status[rows] = HighsBasisStatus.kLower
-    basis = HighsBasis()
-    basis.col_status, basis.row_status = col_status.tolist(), row_status.tolist()
-    basis.valid, basis.alien = True, False  # exactly m basic: HiGHS takes it as it is
-    return basis
-
-
-def linprog(c, *, A_eq, b_eq, row_lower, lower, upper, highs=None):
+def linprog(c, *, A_eq, b_eq, row_lower, lower, upper, basic=None, highs=None):
     """min c·v  s.t.  row_lower <= A_eq v <= b_eq, lower <= v <= upper by HiGHS's dual simplex
     with HIGHS_OPTIONS (RuntimeError naming an option HiGHS rejects): HiGHS's model `status`,
     optimum `x` and `fun` (None unless optimal), iterations `nit` and the HiGHS model `highs`.
-    A new model starts from `_crash_basis` (Bixby 1992; RuntimeError if HiGHS rejects it).
-    Given `highs`, a former result's model of an LP with these rows and bounds, only the costs
-    change and HiGHS runs again from its last optimal basis. Its name, `c` first, `A_eq` by
-    keyword and `nit` are what the benchmark's `milp.highs` layer wraps and reads."""
+    A new model starts from `basic`, a valid `MilpModel.basic` (RuntimeError if HiGHS rejects
+    it; all-slack if None), with every column it does not name nonbasic at its lower bound, which
+    HiGHS moves to the dual-feasible bound of a boxed one. Given `highs`, a former result's model
+    of an LP with these rows and bounds, `basic` is ignored: only the costs change and HiGHS
+    runs again from its last optimal basis. Its name, `c` first, `A_eq` by keyword and `nit` are
+    what the benchmark's `milp.highs` layer wraps and reads."""
     m, n = A_eq.shape
     if highs is not None:
         loaded = highs.changeColsCost(n, np.arange(n, dtype=np.int32), c) != HighsStatus.kError
@@ -179,8 +179,16 @@ def linprog(c, *, A_eq, b_eq, row_lower, lower, upper, highs=None):
         loaded = highs.passModel(n, m, A_eq.nnz, MatrixFormat.kColwise, ObjSense.kMinimize, 0.0,
                                  c, lower, upper, row_lower, b_eq, A_eq.indptr, A_eq.indices,
                                  A_eq.data, np.zeros(n, np.int32)) != HighsStatus.kError
-        if loaded and highs.setBasis(_crash_basis(A_eq, row_lower == b_eq)) == HighsStatus.kError:
-            raise RuntimeError("HiGHS rejected the crash basis")
+        if loaded and basic is not None:
+            named = np.flatnonzero(basic >= 0)
+            cols, rows = [HighsBasisStatus.kLower] * n, [HighsBasisStatus.kBasic] * m
+            for i, j in zip(named.tolist(), basic[named].tolist()):
+                cols[j], rows[i] = HighsBasisStatus.kBasic, HighsBasisStatus.kLower
+            start = HighsBasis()
+            start.col_status, start.row_status = cols, rows
+            start.valid, start.alien = True, False  # exactly m basic: HiGHS takes it as it is
+            if highs.setBasis(start) == HighsStatus.kError:
+                raise RuntimeError("HiGHS rejected the start basis")
     if loaded:  # else HiGHS read a value as infinite: a model error
         highs.run()
     status = highs.getModelStatus() if loaded else HighsModelStatus.kModelError
@@ -198,7 +206,7 @@ def lp_solve(model: MilpModel, hot: HotStart | None = None) -> MilpSolution:
     reuse = hot is not None and hot.holds(model)
     res = linprog(-COST_SCALE * model.objective, A_eq=model.A_eq, b_eq=model.b_eq,
                   row_lower=model.row_lower, lower=model.lower, upper=model.upper,
-                  highs=hot.highs if reuse else None)
+                  basic=model.basic, highs=hot.highs if reuse else None)
     if res.status in (HighsModelStatus.kInfeasible, HighsModelStatus.kModelError):
         raise PlanningError("no plan: solver status infeasible")
     if res.status != HighsModelStatus.kOptimal:

@@ -14,8 +14,11 @@ yields an integral optimum. `plan` and `plan_baseline` solve
 a coarse envelope, then per-step windows of the fine one around its optimum
 (proximity scaling for separable concave objectives; Hochbaum 1994, Math. OR
 19(2)), and the full program only when the windowed optimum does not
-certify itself. `plan_baselines` solves one scenario's baselines on one
-HiGHS model where their programs differ only in the gains.
+certify itself. Each LP starts HiGHS from the basis of a greedy fill of the
+working time over all chord pieces by falling gain, the shift-agnostic
+optimum over them (Maros & Mitra 1998, INFORMS J. Computing 10(2)).
+`plan_baselines` solves one scenario's baselines on one HiGHS model where
+their programs differ only in the gains.
 """
 
 from __future__ import annotations
@@ -84,15 +87,27 @@ def _segment_model(scenario: Scenario, env: Envelopes) -> MilpModel:
     A_eq = sparse.csc_matrix((data, (rows, cols)), shape=(3 * T + 1, 2 * T + n_seg))
     A_eq.eliminate_zeros()  # X_t - X_t, where a circular width is a multiple of T
     b_eq = np.concatenate(b_eq + [[total]])
+    gains = env.sign * env.slopes
+    u_upper = np.clip(min(scenario.c_veh, N) - (env.ends - widths), 0, widths)
+    # the start basis: x_t in link row t and, in supply row t, the piece of step t where a greedy
+    # fill of the working time by falling gain stops (the shift-agnostic optimum over these
+    # pieces, where only sum_t y_t = sN delta binds; gains fall within a step, so it takes a
+    # prefix of each); the cap rows and the total row keep their slacks
+    order = np.argsort(-gains, kind="stable")
+    inside = np.empty(n_seg, dtype=bool)
+    inside[order] = np.cumsum(u_upper[order]) <= scenario.working_time - env.start.sum()
+    count, taken = np.bincount(env.step, minlength=T), np.bincount(env.step[inside], minlength=T)
+    basic = np.full(3 * T + 1, -1)
+    basic[:T], basic[T : 2 * T] = t, 2 * T + np.cumsum(count) - count + np.minimum(taken, count - 1)
     return MilpModel(
-        objective=np.concatenate([np.zeros(2 * T), env.sign * env.slopes]),
+        objective=np.concatenate([np.zeros(2 * T), gains]),
         lower=np.zeros(2 * T + n_seg),
-        upper=np.concatenate([np.full(T, N), np.full(T, total),
-                              np.clip(min(scenario.c_veh, N) - (env.ends - widths), 0, widths)]),
+        upper=np.concatenate([np.full(T, N), np.full(T, total), u_upper]),
         is_integer=np.arange(2 * T + n_seg) < T,
         A_eq=A_eq, b_eq=b_eq,
         constant=env.sign * sum(env.start_value.tolist()),  # sum_t envelope_t(lo_t)
         row_lower=np.where(np.arange(3 * T + 1) // T == 2, -np.inf, b_eq),  # the cap rows: <=
+        basic=basic,
     )
 
 

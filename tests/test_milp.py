@@ -21,6 +21,9 @@ from shiftopt import (
     ShiftPlan,
     build_deviation_mip,
     build_reward_mip,
+    concavify_reward,
+    convexify_sq_dev,
+    demand_vector,
     economic_standard_supply,
     export_lp,
     lp_solve,
@@ -191,11 +194,11 @@ class TestMilpSolve:
         assert sol.objective == 3.0 * 2 + 2.0 * 3 + 0.5
 
 
-def _reference_solve(model, crash=True):
+def _reference_solve(model):
     """HiGHS on the model passed as a `HighsLp`, with lp_solve's options set
-    one by one and, unless `crash` is False, lp_solve's crash basis built
-    row by row: `status` (optimal, or 2 where HiGHS reports the model
-    infeasible or in error), the optimum `x` and `fun` and iterations `nit`.
+    one by one and, where the model names one, its start basis built row by
+    row: `status` (optimal, or 2 where HiGHS reports the model infeasible or
+    in error), the optimum `x` and `fun` and iterations `nit`.
     `scipy.optimize.linprog`, given the `<=` rows as A_ub, must report the
     same status and, within 1e-9 relative, the same optimum."""
     A, ub = model.A_eq, model.row_lower == -np.inf
@@ -212,18 +215,15 @@ def _reference_solve(model, crash=True):
     for option, value in milp.HIGHS_OPTIONS:
         assert highs.setOptionValue(option, value) == HighsStatus.kOk
     loaded = highs.passModel(lp) != HighsStatus.kError
-    if loaded and crash:
-        # in each equality row, the last column whose one nonzero entry lies in that row is
-        # basic in place of the row's slack; every other column is nonbasic at its lower bound
-        dense = A.toarray()
-        entries = np.count_nonzero(dense, axis=0)
+    if loaded and model.basic is not None:
+        # column basic[i] is basic in place of row i's slack, where basic[i] >= 0; every other
+        # column is nonbasic at its lower bound
         cols = [HighsBasisStatus.kLower] * model.n_vars
         rows = [HighsBasisStatus.kBasic] * len(model.b_eq)
         for i in range(len(model.b_eq)):
-            singletons = [j for j in np.flatnonzero(dense[i]) if entries[j] == 1]
-            if model.row_lower[i] == model.b_eq[i] and singletons:
-                cols[singletons[-1]] = HighsBasisStatus.kBasic
-                rows[i] = HighsBasisStatus.kLower
+            j = int(model.basic[i])
+            if j >= 0:
+                cols[j], rows[i] = HighsBasisStatus.kBasic, HighsBasisStatus.kLower
         basis = HighsBasis()
         basis.col_status, basis.row_status = cols, rows
         basis.valid, basis.alien = True, False
@@ -346,59 +346,85 @@ def _small_plans(seed):
         return [Scenario.from_dict(sc) for sc in load("workloads").small_plans(seed)]
 
 
-def _crash_statuses(A, equality):
-    basis = milp._crash_basis(sparse.csc_matrix(A), np.asarray(equality))
-    return basis.col_status, basis.row_status
+def _greedy_start(scenario, env):
+    """The segment model's start basis, built in plain Python: x_t in link row t and, in supply
+    row t, the piece of step t where a fill of the working time over (gain, step, k) in
+    descending gain stops. A piece spans its envelope piece, cut at min(c_veh, N)."""
+    T, cap = scenario.T, min(scenario.c_veh, scenario.N)
+    pieces, columns = [], [[] for _ in range(T)]
+    begin = env.start.tolist()
+    for j, (step, end, slope) in enumerate(zip(env.step.tolist(), env.ends.tolist(),
+                                               env.slopes.tolist())):
+        k = len(columns[step])
+        columns[step].append(2 * T + j)
+        pieces.append((-env.sign * slope, step, k, min(max(cap - begin[step], 0),
+                                                        end - begin[step])))
+        begin[step] = end
+    left, taken = scenario.working_time - sum(env.start.tolist()), [0] * T
+    for _, step, _, width in sorted(pieces):
+        if width > left:
+            break
+        left -= width
+        taken[step] += 1
+    return (list(range(T)) + [cols[min(n, len(cols) - 1)] for cols, n in zip(columns, taken)]
+            + [-1] * (T + 1))
 
 
-BASIC, LOWER = HighsBasisStatus.kBasic, HighsBasisStatus.kLower
+class TestStartBasis:
+    """A cold solve starts from the model's `basic`; the planner names x_t in link row t and,
+    in supply row t, the piece where a greedy fill of the working time by gain stops."""
 
+    # column 0: 1.0 in row 0; column 1: 1.0 in rows 0 and 1; column 2: an explicit 0.0 in
+    # row 1; column 3: 2.0 in row 1
+    A = sparse.csc_matrix(([1.0, 1.0, 1.0, 0.0, 2.0], [0, 0, 1, 1, 1], [0, 1, 3, 4, 5]),
+                          shape=(2, 4))
 
-class TestCrashBasis:
-    """A cold solve starts from `milp._crash_basis`: in each equality row that holds column
-    singletons, the last one is basic in place of the row's slack."""
+    def _model(self, basic):
+        return MilpModel(objective=np.zeros(4), lower=np.zeros(4), upper=np.ones(4),
+                         is_integer=np.zeros(4, bool), A_eq=self.A, b_eq=[1.0, 1.0],
+                         basic=basic)
 
-    def test_last_singleton_of_each_equality_row_is_basic(self):
-        # row 0 holds the singletons 0 and 2, row 1 holds 3; column 1 lies in both rows
-        cols, rows = _crash_statuses([[1.0, 1.0, -2.0, 0.0], [0.0, 1.0, 0.0, 5.0]], [True, True])
-        assert cols == [LOWER, LOWER, BASIC, BASIC]
-        assert rows == [LOWER, LOWER]
+    @pytest.mark.parametrize("basic", [[0, 3], [-1, 3], [0, -1], [-1, -1]])
+    def test_valid_basic_kept(self, basic):
+        assert self._model(basic).basic.tolist() == basic
 
-    def test_le_rows_and_rows_without_singleton_keep_their_slack(self):
-        # row 0 is a `<=` row holding singleton 0; equality row 1 holds only column 1, which
-        # also lies in row 2; equality row 2 holds singleton 2
-        cols, rows = _crash_statuses([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 1.0]],
-                                     [False, True, True])
-        assert cols == [LOWER, LOWER, BASIC]
-        assert rows == [BASIC, BASIC, LOWER]
+    @pytest.mark.parametrize("basic", [
+        pytest.param([1, -1], id="two-entries"),
+        pytest.param([3, -1], id="other-row"),
+        pytest.param([-1, 2], id="explicit-zero"),
+        pytest.param([0, 0], id="repeated"),
+        pytest.param([4, -1], id="past-last-column"),
+        pytest.param([-2, 3], id="below-minus-one"),
+        pytest.param([0], id="short"),
+        pytest.param([0, 3, -1], id="long"),
+        pytest.param([[0, 3]], id="two-dimensional"),
+    ])
+    def test_invalid_basic_rejected(self, basic):
+        with pytest.raises(ValueError, match="^basic must "):
+            self._model(basic)
 
-    def test_explicit_zero_is_never_chosen(self):
-        # column 0 is 1.0 in row 0 and an explicit 0.0 in row 1: a singleton of row 0;
-        # column 1 holds only an explicit 0.0, in row 1: a singleton of no row
-        A = sparse.csc_matrix(([1.0, 0.0, 0.0], [0, 1, 1], [0, 2, 3]), shape=(2, 2))
-        assert A.nnz == 3
-        cols, rows = _crash_statuses(A, [True, True])
-        assert cols == [BASIC, LOWER]
-        assert rows == [LOWER, BASIC]
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_exactly_m_basic(self, seed):
-        rng = np.random.default_rng(seed)
-        problem = _random_tu_problem(rng, n=int(rng.integers(2, 6)), width=int(rng.integers(2, 6)))
-        for m in (slack_model(**problem), le_model(**problem)):
-            cols, rows = _crash_statuses(m.A_eq, m.row_lower == m.b_eq)
-            assert cols.count(BASIC) + rows.count(BASIC) == len(m.b_eq)
-
-    def test_segment_model(self):
-        # x_t is basic in link row t and step t's top chord piece in supply row t; the cap
-        # rows are `<=` and X_T, the total row's one column, lies in other rows too
-        sc = Scenario(T=24, N=6, s=2, delta=4, beta=2, d_max=8.0, a=1.5, c_veh=5)
-        m, T = build_reward_mip(sc), sc.T
-        cols, rows = _crash_statuses(m.A_eq, m.row_lower == m.b_eq)
-        assert rows == [LOWER] * 2 * T + [BASIC] * (T + 1)
-        basic = [m.names[j] for j in range(m.n_vars) if cols[j] == BASIC]
-        tops = [[n for n in m.names if n.startswith(f"u_{t}_")][-1] for t in range(1, T + 1)]
-        assert basic == [f"x_{t}" for t in range(1, T + 1)] + tops
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    @pytest.mark.parametrize("kind", ["reward", "deviation", "windowed", "tied"])
+    def test_segment_model(self, kind, boundary):
+        sc = Scenario(T=48, N=120, s=2, delta=6, beta=4, d_max=120.0, a=2.0, c_veh=100,
+                      boundary=boundary)
+        y_max = min(sc.c_veh, sc.N)
+        if kind == "reward":
+            env = concavify_reward(demand_vector(sc), sc.a, 0, y_max)
+        elif kind == "deviation":
+            env = convexify_sq_dev(service_standard_supply(sc, 0.8), 0, y_max, 2)
+        elif kind == "windowed":  # a later round: windows of every integer around a supply
+            lo = np.random.default_rng(3).integers(1, 60, sc.T)
+            env = concavify_reward(demand_vector(sc), sc.a, lo, lo + 9)
+        else:  # equal demand: the gains tie across steps, and 2*121*6 = 30*48 + 12, so the
+            sc = replace(sc, N=121)  # working time fills a 31st piece in the first 12 steps only
+            env = concavify_reward(np.full(sc.T, 40.0), sc.a, 0, y_max)
+        m = planner._segment_model(sc, env)
+        expected = _greedy_start(sc, env)
+        assert m.basic.tolist() == expected
+        # the fill stops at different pieces in different steps
+        firsts = 2 * sc.T + np.searchsorted(env.step, range(sc.T))
+        assert len(set((m.basic[sc.T : 2 * sc.T] - firsts).tolist())) > 1
 
     def test_basis_highs_rejects_raises(self, monkeypatch):
         class Rejecting(_Highs):
@@ -406,17 +432,19 @@ class TestCrashBasis:
                 return HighsStatus.kError
 
         monkeypatch.setattr(milp, "_Highs", Rejecting)
-        with pytest.raises(RuntimeError, match="^HiGHS rejected the crash basis$"):
-            lp_solve(simple_model())
+        lp_solve(simple_model())  # no `basic`: no basis handed to HiGHS
+        with pytest.raises(RuntimeError, match="^HiGHS rejected the start basis$"):
+            lp_solve(replace(simple_model(), basic=[2]))  # the slack column of row 0
 
     def test_fewer_iterations_than_the_slack_start(self):
-        # the first 30 small-plans scenarios of the benchmark at seed 7, one LP each: 5,565
-        # iterations from the crash basis and 7,633 from the all-slack basis
+        # the first 30 small-plans scenarios of the benchmark at seed 7, one LP each: 4,423
+        # iterations from the greedy start and 7,633 from the all-slack basis
         models = [m for sc in _small_plans(7)[:30] for m in _segment_models(lambda: plan(sc))]
         assert len(models) == 30
         ours = [milp_solve(m).iterations for m in models]
         assert ours == [_reference_solve(m).nit for m in models]
-        assert sum(ours) <= 0.8 * sum(_reference_solve(m, crash=False).nit for m in models)
+        assert sum(ours) <= 0.65 * sum(_reference_solve(replace(m, basic=None)).nit
+                                       for m in models)
 
 
 def _random_tu_problem(rng, n, width):
