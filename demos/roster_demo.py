@@ -3,8 +3,8 @@
 Extended shifts (shift plus break) all have the same length, so dealing a
 feasible plan's shifts in start order to the drivers in turn never gives a
 driver two overlapping shifts, and gives every driver exactly s of them.
-This is the path `shiftopt roster` takes: deal, then check with
-`verify_roster`.
+The dealt `Roster` is two arrays, each shift's driver and start step. This
+is the path `shiftopt roster` takes: deal, then check with `verify_roster`.
 """
 
 from shiftopt import Scenario, greedy_assign, plan, roster_to_csv, verify_roster

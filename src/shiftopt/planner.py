@@ -166,7 +166,7 @@ def _solve(scenario: Scenario, envelopes: Callable[..., Envelopes], *params,
     def solve(lo, hi, stride=1, hot=None):
         env = envelopes(*params, lo, hi, stride)
         model = _segment_model(scenario, env)
-        sol = milp_solve(model) if hot is None else milp_solve(model, hot)
+        sol = milp_solve(model, hot)
         return env, sol, env.start + np.bincount(env.step, sol.values[2 * T :], T).astype(np.int64)
 
     env, sol, y = solve(0, y_max, stride, hot if stride == 1 else None)

@@ -24,7 +24,7 @@ from shiftopt.domain import (
 )
 from shiftopt.milp import MilpModel
 from shiftopt.piecewise import Envelopes
-from shiftopt.roster import ExtendedShift, Roster
+from shiftopt.roster import Roster
 
 
 def window_sum(x: np.ndarray, width: int, boundary: Boundary) -> np.ndarray:
@@ -113,17 +113,20 @@ def greedy_assign_by_scan(plan: ShiftPlan, scenario: Scenario) -> Roster:
     length = scenario.delta + scenario.beta
     avail = [0] * scenario.N
     counts = [0] * scenario.N
-    assignments: list[list[ExtendedShift]] = [[] for _ in range(scenario.N)]
+    driver: list[int] = []
+    start: list[int] = []
     for t in range(1, scenario.T + 1):
         for _ in range(int(plan.x[t - 1])):
             candidates = [i for i in range(scenario.N) if avail[i] <= t]
             if not candidates:
                 raise ValueError(f"no driver available at step {t}: plan violates z_t <= N")
             i = min(candidates, key=lambda i: (counts[i], i))
-            assignments[i].append(ExtendedShift(start=t, end=t + length))
+            driver.append(i)
+            start.append(t)
             avail[i] = t + length
             counts[i] += 1
-    return Roster(assignments=tuple(tuple(a) for a in assignments))
+    return Roster(driver=np.array(driver, dtype=np.int64), start=np.array(start, dtype=np.int64),
+                  n_drivers=scenario.N, length=length)
 
 
 def step_chords(breakpoints, values: np.ndarray, sign: int):

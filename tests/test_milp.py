@@ -276,7 +276,7 @@ def _segment_models(solve):
     models = []
     real = planner.milp_solve
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(planner, "milp_solve", lambda m: models.append(m) or real(m))
+        patch.setattr(planner, "milp_solve", lambda m, *rest: models.append(m) or real(m, *rest))
         try:
             solve()
         except PlanningError:

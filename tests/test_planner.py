@@ -287,7 +287,7 @@ class TestPlan:
     def test_solved_models_are_unnamed_exported_models_named(self, monkeypatch):
         names = []
         real = planner.milp_solve
-        monkeypatch.setattr(planner, "milp_solve", lambda m: names.append(m.names) or real(m))
+        monkeypatch.setattr(planner, "milp_solve", lambda m, *rest: names.append(m.names) or real(m, *rest))
         sc = Scenario(T=48, N=120, s=2, delta=6, beta=4, d_max=120.0, a=2.0, c_veh=100)
         rounds = sum(solve(sc).nodes for solve in (
             plan, lambda sc: plan_baseline(sc, service_standard_supply(sc, 0.8)),
