@@ -7,7 +7,8 @@ file is computed before the first is written, and each is replaced
 atomically (temp file + rename): no file is left half written, but an I/O
 error part-way keeps the files written before it. `compare` and `sweep` solve
 their sweep values on the CPUs that the process may use (`taskset -c 0` makes
-them serial); their files, error lines and exit codes are those of one
+them serial). Each value derives its own scenario, and once a value fails no
+later value starts: their files, error lines and exit codes are those of one
 value after another. Exit codes:
 0 ok, 2 bad config, 3 infeasible, 4 I/O error, 5 roster verification failure.
 """
@@ -15,6 +16,7 @@ value after another. Exit codes:
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import dataclasses
 import io
@@ -52,6 +54,9 @@ _KINDS = {
 # at s*N = 2**20 (T 1024, N = s = 1024, plan given) `shiftopt roster` takes about 1 s
 # and 172 MiB peak RSS on a 2-CPU Xeon, 0.3 s of it formatting the 16 MB CSV
 _ROSTER_SHIFTS = 2**20
+# at T*min(N, c_veh) = 2**20 (T 24, N = c_veh = 43690) `shiftopt export-lp` takes about 2.1 s
+# and 377 MiB peak RSS on a 2-CPU Xeon, and writes a 49 MiB model.lp
+_EXPORT_PIECES = 2**20
 
 
 class ConfigError(Exception):
@@ -185,23 +190,16 @@ def _with_drivers(base: Scenario, n: int, config: dict) -> Scenario:
     return _derive(base, n, N=n, d_max=d_max, c_veh=max(base.c_veh, n) if scale else base.c_veh)
 
 
-def _sweep_scenarios(base: Scenario, config: dict) -> list[tuple[float, Scenario]]:
-    kind = config["kind"]
-    values = [int(v) for v in _numbers(config, "sweep_values", _whole(1), "whole numbers >= 1")]
-    if kind == "sweep_drivers":
-        return [(float(v), _with_drivers(base, v, config)) for v in values]
-    if base.N == 0:
-        raise ConfigError(f"{kind} keeps the base scenario's total work, and N = 0 has none")
+def _sweep_scenario(base: Scenario, config: dict, value: int) -> Scenario:
+    if config["kind"] == "sweep_drivers":
+        return _with_drivers(base, value, config)
     # s*N*delta held fixed (s or delta is the swept field): N scales as 1/value
-    field = "s" if kind == "sweep_shifts_per_driver" else "delta"
+    field = "s" if config["kind"] == "sweep_shifts_per_driver" else "delta"
     work = base.N * getattr(base, field)
-    out = []
-    for v in values:
-        if work % v:
-            raise ConfigError(f"{field}={v} does not divide N*{field}={work}")
-        n = work // v
-        out.append((float(v), _derive(base, v, **{field: v, "N": n, "c_veh": max(base.c_veh, n)})))
-    return out
+    if work % value:
+        raise ConfigError(f"{field}={value} does not divide N*{field}={work}")
+    n = work // value
+    return _derive(base, value, **{field: value, "N": n, "c_veh": max(base.c_veh, n)})
 
 
 def _each(fn, items: list) -> list:
@@ -216,26 +214,21 @@ def _each(fn, items: list) -> list:
     except AttributeError:  # no sched_getaffinity on this platform
         cpus = os.cpu_count() or 1
     results, errors = [None] * len(items), [None] * len(items)
-    lock = threading.Lock()
-    todo = [0, len(items)]  # items todo[0] to todo[1] - 1 are not yet taken
+    todo = collections.deque(range(len(items)))  # the items not yet taken; pops are atomic
 
     def work(front: bool) -> None:
+        take = todo.popleft if front else todo.pop
         while True:
-            with lock:
-                if todo[0] == todo[1]:
-                    return
-                if front:
-                    i = todo[0]
-                    todo[0] += 1
-                else:
-                    todo[1] -= 1
-                    i = todo[1]
+            try:
+                i = take()
+            except IndexError:  # no item left
+                return
             try:
                 results[i] = fn(items[i])
             except Exception as exc:
                 errors[i] = exc
-                with lock:  # items after i no longer decide what is raised
-                    todo[1] = max(todo[0], min(todo[1], i + 1))
+                if front:  # every item before i is taken: none after it may start
+                    todo.clear()
 
     helpers = [threading.Thread(target=work, args=(True,))
                for _ in range(min(cpus, len(items)) - 1)]
@@ -244,27 +237,31 @@ def _each(fn, items: list) -> list:
     try:
         work(not helpers)  # alone, the caller goes from the front, as a plain loop does
     finally:
-        with lock:  # an interrupt in the caller: the helpers start no more items
-            todo[1] = todo[0]
+        todo.clear()  # an interrupt in the caller: the helpers start no more items
         for helper in helpers:
             helper.join()
-    exc = next((e for e in errors if e is not None), None)
-    if exc is not None:
+    for exc in filter(None, errors):  # the first item, in input order, that raised
         raise exc
     return results
 
 
 def _cmd_sweep(base: Scenario, config: dict) -> dict[str, str]:
-    scenarios = _sweep_scenarios(base, config)
-    solved = _each(lambda item: (planner.plan(item[1]),
-                                 benchmark.agnostic_optimum_closed_form(item[1])), scenarios)
-    rows = []
-    supply_rows = []
-    for (value, scenario), (result, opt) in zip(scenarios, solved):
-        rows.append([value, benchmark.gap(result.true_reward, opt), result.true_reward,
+    values = _numbers(config, "sweep_values", _whole(1), "whole numbers >= 1")
+    kind = config["kind"]
+    if kind != "sweep_drivers" and base.N == 0:
+        raise ConfigError(f"{kind} keeps the base scenario's total work, and N = 0 has none")
+
+    # each value derives its own scenario: a bad one must not win over an earlier value's error
+    def solve(v: float) -> tuple:
+        scenario = _sweep_scenario(base, config, int(v))
+        return scenario, planner.plan(scenario), benchmark.agnostic_optimum_closed_form(scenario)
+
+    rows, supply_rows = [], []
+    for v, (scenario, result, opt) in zip(values, _each(solve, values)):
+        rows.append([v, benchmark.gap(result.true_reward, opt), result.true_reward,
                      opt.r_star, result.nodes])
         norm = float(scenario.working_time)
-        supply_rows += zip([value] * scenario.T, range(1, scenario.T + 1),
+        supply_rows += zip([v] * scenario.T, range(1, scenario.T + 1),
                            (result.supply.y / norm).tolist(), (opt.y_star / norm).tolist())
     return {
         "sweep.csv": _csv_text(
@@ -339,6 +336,10 @@ def _cmd_roster(scenario: Scenario, config: dict) -> dict[str, str]:
 
 
 def _cmd_export_lp(scenario: Scenario, config: dict) -> dict[str, str]:
+    pieces = scenario.T * min(scenario.N, scenario.c_veh)  # the most chord pieces of the reward
+    if pieces > _EXPORT_PIECES:
+        raise ConfigError(f"export-lp takes at most T*min(N, c_veh) = {_EXPORT_PIECES} chord "
+                          f"pieces, got {pieces}")
     return {"model.lp": export_lp(planner.build_reward_mip(scenario))}
 
 

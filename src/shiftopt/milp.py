@@ -97,7 +97,8 @@ class MilpModel:
         if self.is_integer.shape != (n,) or (self.names is not None and len(self.names) != n):
             raise ValueError("is_integer and names must have one entry per column")
         A = csc_matrix(self.A_eq, dtype=float)  # columns, as HiGHS takes them
-        A.sum_duplicates()  # canonical: one sorted entry per (row, column)
+        A.sum_duplicates()  # canonical: one sorted entry per (row, column), none zero
+        A.eliminate_zeros()  # explicit zeros and -0.0
         b = np.asarray(self.b_eq, dtype=float)
         if A.shape[1] != n or b.shape != (A.shape[0],) or not np.isfinite(np.r_[A.data, b]).all():
             raise ValueError("A_eq and b_eq must be finite and match the columns")
@@ -114,10 +115,9 @@ class MilpModel:
             rows = np.flatnonzero(basic >= 0)
             j = basic[rows]
             ok = np.all(basic >= -1) and np.all(j < n)
-            if ok:  # one stored entry per named column, nonzero, in its row: none named twice
+            if ok:  # one stored entry per named column, in its row: none named twice
                 k = A.indptr[j]
-                ok = (np.all(A.indptr[j + 1] - k == 1) and np.array_equal(A.indices[k], rows)
-                      and np.all(A.data[k] != 0))
+                ok = np.all(A.indptr[j + 1] - k == 1) and np.array_equal(A.indices[k], rows)
             if not ok:
                 raise ValueError("basic must name -1 or a distinct column per row, whose one "
                                  "entry is nonzero and lies in that row")
@@ -246,11 +246,9 @@ def _interleave(*columns: list) -> tuple:
 
 
 def _sums(A: csr_matrix, names: list[str], heads: list[str], tails: list[str], empty: str) -> str:
-    """heads[k], row k of A as a sum (' 2 x - 1 y': entries equal to 0
-    skipped, `empty` for a row with none) and tails[k] for every row k, in
-    one format call. Heads, tails and `empty` must hold no bare '%'."""
-    A = A.copy()
-    A.eliminate_zeros()  # explicit zeros and -0.0
+    """heads[k], row k of A as a sum (' 2 x - 1 y', `empty` for a row with
+    no entry) and tails[k] for every row k, in one format call. A stores no
+    zero; heads, tails and `empty` must hold no bare '%'."""
     counts = np.diff(A.indptr)
     first = np.zeros(A.nnz, dtype=int)
     first[A.indptr[:-1][counts > 0]] = 2  # a row's first term has no '+ '

@@ -84,8 +84,8 @@ def _segment_model(scenario: Scenario, env: Envelopes) -> MilpModel:
         b_eq.append(lo - n * float(total))
     rows, cols = (np.concatenate(side) for side in zip(*plus, *minus))
     data = np.repeat([1.0, -1.0], [3 * T + 1, len(rows) - 3 * T - 1])
+    # MilpModel drops the entry 0 of X_t - X_t, where a circular width is a multiple of T
     A_eq = sparse.csc_matrix((data, (rows, cols)), shape=(3 * T + 1, 2 * T + n_seg))
-    A_eq.eliminate_zeros()  # X_t - X_t, where a circular width is a multiple of T
     b_eq = np.concatenate(b_eq + [[total]])
     gains = env.sign * env.slopes
     u_upper = np.clip(min(scenario.c_veh, N) - (env.ends - widths), 0, widths)

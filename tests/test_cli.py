@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shiftopt import Boundary, DemandModel, planner
+from shiftopt import Boundary, DemandModel, cli, planner
 from shiftopt.cli import (
     EXIT_BAD_CONFIG,
     EXIT_INFEASIBLE,
@@ -653,6 +653,23 @@ class TestExportLpCommand:
             assert section in text
         assert "\r" not in text
 
+    @pytest.mark.parametrize("cap, code", [(24, EXIT_OK), (23, EXIT_BAD_CONFIG)])
+    def test_piece_cap_is_inclusive(self, tmp_path, monkeypatch, cap, code):
+        # T*min(N, c_veh) = 12*2 = 24 chord pieces
+        monkeypatch.setattr(cli, "_EXPORT_PIECES", cap)
+        assert run(tmp_path, "export-lp", {"kind": "plan", "scenario": base_scenario()})[0] == code
+
+    def test_piece_count_bounded_before_any_model_is_built(self, tmp_path, capsys, monkeypatch):
+        # N = c_veh = 10**7 used to end in MemoryError with exit 1 under a 3 GB address space
+        calls = []
+        monkeypatch.setattr(planner, "build_reward_mip", lambda *args: calls.append(args))
+        code, out = run(tmp_path, "export-lp", {"kind": "plan", "scenario": base_scenario(
+            T=24, N=10**7, c_veh=10**7)})
+        assert code == EXIT_BAD_CONFIG and calls == []
+        assert capsys.readouterr().err == ("error: export-lp takes at most T*min(N, c_veh) = "
+                                           "1048576 chord pieces, got 240000000\n")
+        assert not out.exists()
+
 
 def _cpus(monkeypatch, n):
     """The process may run on n CPUs, as far as the CLI can tell."""
@@ -717,22 +734,67 @@ class TestSweepValuesOnThreads:
             _each(fn, [0, 1, 2])
         assert raised == [2, 0]
 
+    def test_no_item_starts_after_a_helper_failure(self, monkeypatch):
+        # the helper takes item 0, which raises once the caller has taken item 9; item 9
+        # returns only when the helper thread has exited
+        _cpus(monkeypatch, 2)
+        taken, started = threading.Event(), threading.Event()
+        helper, ran = [], []
+
+        def fn(v):
+            ran.append(v)
+            if v == 0:
+                helper.append(threading.current_thread())
+                taken.set()
+                started.wait(timeout=60)
+                raise ValueError("item 0")
+            if v == 9:
+                started.set()
+                if taken.wait(timeout=60):
+                    helper[0].join(timeout=60)
+            return v
+
+        with pytest.raises(ValueError, match="item 0"):
+            _each(fn, list(range(10)))
+        assert sorted(ran) == [0, 9]
+        assert helper[0] is not threading.current_thread() and not helper[0].is_alive()
+
+    def test_items_before_a_caller_failure_still_run(self, monkeypatch):
+        # the caller's item 3 raises while the helper holds item 0: items 1 and 2 still run
+        _cpus(monkeypatch, 2)
+        raised, ran = threading.Event(), []
+
+        def fn(v):
+            ran.append(v)
+            if v == 0:
+                raised.wait(timeout=60)
+            elif v >= 2:
+                raised.set()
+                raise ValueError(f"item {v}")
+            return v
+
+        with pytest.raises(ValueError, match="item 2"):
+            _each(fn, [0, 1, 2, 3])
+        assert sorted(ran) == [0, 1, 2, 3]
+
     @pytest.mark.parametrize("cpus", [1, 4])
     def test_first_failure_decides_the_exit_code(self, tmp_path, capsys, monkeypatch, cpus):
         # N = 1 is infeasible (exit 3); the later 1e20 drivers give a bad scenario (exit 2)
         _cpus(monkeypatch, cpus)
-        config = {
-            "kind": "compare_baselines",
-            "scenario": {"T": 3, "N": 1, "s": 2, "delta": 2, "beta": 2, "d_max": 3.0,
-                         "a": 2.0, "c_veh": 1},
-            "sweep_values": [0, 1, 100000000000000000000],
-            "service_fraction": 0.8,
-            "economic_cost": 1.0,
-        }
-        code, out = run(tmp_path, "compare", config)
-        assert code == EXIT_INFEASIBLE
-        assert capsys.readouterr().err == "error: no plan: solver status infeasible\n"
-        assert not out.exists()
+        scenario = {"T": 3, "N": 1, "s": 2, "delta": 2, "beta": 2, "d_max": 3.0, "a": 2.0,
+                    "c_veh": 1}
+        for command, config in [
+            ("compare", {"kind": "compare_baselines", "scenario": scenario,
+                         "sweep_values": [0, 1, 100000000000000000000],
+                         "service_fraction": 0.8, "economic_cost": 1.0}),
+            ("sweep", {"kind": "sweep_drivers", "scenario": scenario,
+                       "sweep_values": [1, 100000000000000000000]}),
+        ]:
+            (tmp_path / command).mkdir()
+            code, out = run(tmp_path / command, command, config)
+            assert code == EXIT_INFEASIBLE, command
+            assert capsys.readouterr().err == "error: no plan: solver status infeasible\n"
+            assert not out.exists()
 
     @pytest.mark.parametrize("command, config", [
         # N = 0 has no drivers; N = 70 (y_max > 64) is planned in windowed rounds
