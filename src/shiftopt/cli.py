@@ -54,9 +54,6 @@ _KINDS = {
 # at s*N = 2**20 (T 1024, N = s = 1024, plan given) `shiftopt roster` takes about 1 s
 # and 172 MiB peak RSS on a 2-CPU Xeon, 0.3 s of it formatting the 16 MB CSV
 _ROSTER_SHIFTS = 2**20
-# at T*min(N, c_veh) = 2**20 (T 24, N = c_veh = 43690) `shiftopt export-lp` takes about 2.1 s
-# and 377 MiB peak RSS on a 2-CPU Xeon, and writes a 49 MiB model.lp
-_EXPORT_PIECES = 2**20
 
 
 class ConfigError(Exception):
@@ -336,11 +333,11 @@ def _cmd_roster(scenario: Scenario, config: dict) -> dict[str, str]:
 
 
 def _cmd_export_lp(scenario: Scenario, config: dict) -> dict[str, str]:
-    pieces = scenario.T * min(scenario.N, scenario.c_veh)  # the most chord pieces of the reward
-    if pieces > _EXPORT_PIECES:
-        raise ConfigError(f"export-lp takes at most T*min(N, c_veh) = {_EXPORT_PIECES} chord "
-                          f"pieces, got {pieces}")
-    return {"model.lp": export_lp(planner.build_reward_mip(scenario))}
+    try:
+        model = planner.build_reward_mip(scenario)
+    except ValueError as exc:  # more chord pieces than the full program takes
+        raise ConfigError(f"export-lp takes {exc}") from exc
+    return {"model.lp": export_lp(model)}
 
 
 _COMMANDS = {"plan": _cmd_plan, "sweep": _cmd_sweep, "compare": _cmd_compare,

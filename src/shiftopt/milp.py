@@ -96,8 +96,8 @@ class MilpModel:
         object.__setattr__(self, "is_integer", np.asarray(self.is_integer, dtype=bool))
         if self.is_integer.shape != (n,) or (self.names is not None and len(self.names) != n):
             raise ValueError("is_integer and names must have one entry per column")
-        A = csc_matrix(self.A_eq, dtype=float)  # columns, as HiGHS takes them
-        A.sum_duplicates()  # canonical: one sorted entry per (row, column), none zero
+        A = csc_matrix(self.A_eq, dtype=float, copy=True)  # columns, as HiGHS takes them
+        A.sum_duplicates()  # canonical, in the copy: one sorted entry per (row, column), none zero
         A.eliminate_zeros()  # explicit zeros and -0.0
         b = np.asarray(self.b_eq, dtype=float)
         if A.shape[1] != n or b.shape != (A.shape[0],) or not np.isfinite(np.r_[A.data, b]).all():

@@ -53,6 +53,9 @@ __all__ = [
 
 _COARSE_PIECES = 64  # round 1 splits [0, y_max] into at most this many pieces
 _REACH = 2  # later rounds start at y_t +- _REACH * (round 1's stride)
+# the full programs' cap on T*min(N, c_veh) chord pieces: at it (T 24, N = c_veh = 43690) `shiftopt
+# export-lp` takes about 2.1 s and 377 MiB peak RSS on a 2-CPU Xeon, and writes a 49 MiB model.lp
+_FULL_PIECES = 2**20
 
 
 @dataclass(frozen=True)
@@ -134,50 +137,50 @@ def _targets(scenario: Scenario, desired) -> np.ndarray:
     return y
 
 
+def _full_y_max(scenario: Scenario) -> int:
+    """y_max, or ValueError where the full program has over _FULL_PIECES chord pieces."""
+    if (pieces := scenario.T * min(scenario.N, scenario.c_veh)) > _FULL_PIECES:
+        raise ValueError(f"at most T*min(N, c_veh) = {_FULL_PIECES} chord pieces, got {pieces}")
+    return _y_max(scenario)
+
+
 def build_reward_mip(scenario: Scenario) -> MilpModel:
     """Reward-maximizing program over the chord envelopes of the reward."""
-    env = concavify_reward(demand_vector(scenario), scenario.a, 0, _y_max(scenario))
+    env = concavify_reward(demand_vector(scenario), scenario.a, 0, _full_y_max(scenario))
     return _named(_segment_model(scenario, env), env)
 
 
 def build_deviation_mip(scenario: Scenario, desired: np.ndarray) -> MilpModel:
     """Baseline program: maximize minus the sum of squared deviations from `desired`."""
-    env = convexify_sq_dev(_targets(scenario, desired), 0, _y_max(scenario))
+    env = convexify_sq_dev(_targets(scenario, desired), 0, _full_y_max(scenario))
     return _named(_segment_model(scenario, env), env)
 
 
 def _solve(scenario: Scenario, envelopes: Callable[..., Envelopes], *params,
            hot: HotStart | None = None) -> PlanResult:
-    """Optimum of the full program, in at most three LP rounds.
+    """Optimum of the full program, one LP round per pass, each solved through `hot`.
 
-    `envelopes(*params, lo, hi, stride)` builds every step's envelope. Round
-    1 spans every step's [0, y_max] with breakpoints `stride` apart; with
-    y_max <= _COARSE_PIECES that is the full program. Round 2 uses every
-    integer of a window around round 1's supply. If its supply sits on no
-    window side other than 0 or y_max, its windowed objective equals the full
-    envelope on a neighbourhood of its optimum, so by concavity that optimum
-    is also optimal for the full program. Otherwise round 3 solves the full
-    program. Given `hot`, a one-round solve goes through it; the windowed
-    rounds, whose windows follow the optimum, always start a new HiGHS model.
+    A round's envelopes `envelopes(*params, lo, hi, stride)` have breakpoints `stride` apart on
+    [lo_t, hi_t]. Round 1 spans [0, y_max] at stride ceil(y_max / 64), the full program where
+    y_max <= _COARSE_PIECES. A round at stride > 1 is followed by every integer of the window
+    y_t +- _REACH * stride. A stride-1 round whose y sits on no window side but 0 or y_max ends
+    the loop: its objective equals the full envelope near its optimum, so by concavity that
+    optimum is the full program's. Otherwise the full program follows, and ends it.
     """
     T, y_max = scenario.T, _y_max(scenario)
-    stride = -(-y_max // _COARSE_PIECES)
-
-    def solve(lo, hi, stride=1, hot=None):
+    lo, hi, stride, rounds = 0, y_max, -(-y_max // _COARSE_PIECES), 0
+    while True:
         env = envelopes(*params, lo, hi, stride)
-        model = _segment_model(scenario, env)
-        sol = milp_solve(model, hot)
-        return env, sol, env.start + np.bincount(env.step, sol.values[2 * T :], T).astype(np.int64)
-
-    env, sol, y = solve(0, y_max, stride, hot if stride == 1 else None)
-    rounds = 1
-    if stride > 1:
-        lo, hi = np.maximum(y - _REACH * stride, 0), np.minimum(y + _REACH * stride, y_max)
-        env, sol, y = solve(lo, hi)
-        rounds = 2
-        if np.any(((y == lo) & (lo > 0)) | ((y == hi) & (hi < y_max))):
-            env, sol, y = solve(0, y_max)
-            rounds = 3
+        sol = milp_solve(_segment_model(scenario, env), hot)
+        y = env.start + np.bincount(env.step, sol.values[2 * T :], T).astype(np.int64)
+        rounds += 1
+        if stride > 1:
+            lo, hi = np.maximum(y - _REACH * stride, 0), np.minimum(y + _REACH * stride, y_max)
+            stride = 1
+        elif np.any(((y == lo) & (lo > 0)) | ((y == hi) & (hi < y_max))):
+            lo, hi = 0, y_max
+        else:
+            break
     plan_vec = ShiftPlan(x=sol.values[:T].astype(np.int64))
     return PlanResult(
         plan=plan_vec,
@@ -193,17 +196,16 @@ def plan(scenario: Scenario) -> PlanResult:
     return _solve(scenario, concavify_reward, demand_vector(scenario), scenario.a)
 
 
-def plan_baseline(scenario: Scenario, desired: np.ndarray, *,
-                  hot: HotStart | None = None) -> PlanResult:
-    """Solve the deviation-minimizing program: the feasible plan closest to `desired`.
-    `hot` is plan_baselines' HiGHS model, shared by one scenario's baselines."""
-    return _solve(scenario, convexify_sq_dev, _targets(scenario, desired), hot=hot)
+def plan_baseline(scenario: Scenario, desired: np.ndarray) -> PlanResult:
+    """Solve the deviation-minimizing program: the feasible plan closest to `desired`."""
+    return _solve(scenario, convexify_sq_dev, _targets(scenario, desired))
 
 
 def plan_baselines(scenario: Scenario, desired_list) -> list[PlanResult]:
-    """plan_baseline for each desired supply, in order. Where y_max <= 64 each baseline is one
-    LP; one whose rows and bounds equal the last one's differs from it only in the gains, and
-    HiGHS re-solves it from the last optimal basis instead of from scratch. The rows are
-    compared, not assumed equal: near DESIRED_MAX rounding merges chords, changing the columns."""
+    """plan_baseline for each desired supply, in order, every round through one HotStart: HiGHS
+    re-solves an LP whose rows and column bounds equal the last one's from its optimal basis
+    with the new gains. Where y_max <= 64 each baseline is one LP. A windowed round (fine columns
+    after coarse ones), or an LP whose chords merge near DESIRED_MAX, starts a new HiGHS model."""
     hot = HotStart()
-    return [plan_baseline(scenario, desired, hot=hot) for desired in desired_list]
+    return [_solve(scenario, convexify_sq_dev, _targets(scenario, d), hot=hot)
+            for d in desired_list]

@@ -656,13 +656,13 @@ class TestExportLpCommand:
     @pytest.mark.parametrize("cap, code", [(24, EXIT_OK), (23, EXIT_BAD_CONFIG)])
     def test_piece_cap_is_inclusive(self, tmp_path, monkeypatch, cap, code):
         # T*min(N, c_veh) = 12*2 = 24 chord pieces
-        monkeypatch.setattr(cli, "_EXPORT_PIECES", cap)
+        monkeypatch.setattr(planner, "_FULL_PIECES", cap)
         assert run(tmp_path, "export-lp", {"kind": "plan", "scenario": base_scenario()})[0] == code
 
     def test_piece_count_bounded_before_any_model_is_built(self, tmp_path, capsys, monkeypatch):
         # N = c_veh = 10**7 used to end in MemoryError with exit 1 under a 3 GB address space
         calls = []
-        monkeypatch.setattr(planner, "build_reward_mip", lambda *args: calls.append(args))
+        monkeypatch.setattr(planner, "concavify_reward", lambda *args: calls.append(args))
         code, out = run(tmp_path, "export-lp", {"kind": "plan", "scenario": base_scenario(
             T=24, N=10**7, c_veh=10**7)})
         assert code == EXIT_BAD_CONFIG and calls == []

@@ -131,6 +131,14 @@ class TestLpSolve:
         with pytest.raises(RuntimeError, match="^HiGHS rejected option no_such_option = 1$"):
             lp_solve(simple_model())
 
+    def test_callers_matrix_left_as_it_is(self):
+        # the model canonicalises a copy: the caller's stored 0 stays where it was
+        A = sparse.csc_matrix(([1.0, 0.0, 2.0], [0, 0, 0], [0, 1, 2, 3]), shape=(1, 3))
+        m = MilpModel(objective=np.ones(3), lower=np.zeros(3), upper=np.ones(3),
+                      is_integer=np.zeros(3, bool), A_eq=A, b_eq=[1.0])
+        assert A.data.tolist() == [1.0, 0.0, 2.0] and A.indptr.tolist() == [0, 1, 2, 3]
+        assert m.A_eq.data.tolist() == [1.0, 2.0] and m.A_eq.indptr.tolist() == [0, 1, 1, 2]
+
     def test_unbounded(self):
         # every column must be bounded, so no model is unbounded
         with pytest.raises(ValueError):

@@ -68,6 +68,28 @@ class TestBuildRewardMip:
         assert headline_result.plan.total == 50
         assert headline_result.supply.z.max() <= 10
 
+    @pytest.mark.parametrize("build", [build_reward_mip,
+                                       lambda sc: build_deviation_mip(sc, np.zeros(sc.T))],
+                             ids=["reward", "deviation"])
+    def test_piece_cap_checked_before_any_envelope(self, monkeypatch, build):
+        """The full program takes at most T*min(N, c_veh) = 2**20 chord pieces, inclusive."""
+        built = []
+
+        def envelope(*args):
+            built.append(args)
+            raise LookupError("envelope built")
+
+        for name in ("concavify_reward", "convexify_sq_dev"):
+            monkeypatch.setattr(planner, name, envelope)
+        over = Scenario(T=17, N=61681, s=1, delta=2, beta=1, d_max=1.0, a=1.0, c_veh=61681)
+        with pytest.raises(ValueError, match=r"^at most T\*min\(N, c_veh\) = 1048576 chord "
+                                             r"pieces, got 1048577$"):
+            build(over)
+        assert built == []
+        with pytest.raises(LookupError):  # T*min(N, c_veh) = 16 * 65536 = 2**20
+            build(Scenario(T=16, N=65536, s=1, delta=2, beta=1, d_max=1.0, a=1.0, c_veh=10**6))
+        assert len(built) == 1
+
 
 class TestBuildDeviationMip:
     def test_zero_target_no_drivers(self):
@@ -325,6 +347,23 @@ class TestPlan:
             assert np.all((lo == 0) | (y > lo))
             assert np.all((hi == 100) | (y < hi))
             assert np.any((lo > 0) | (hi < 100))
+
+    def test_full_program_where_the_windows_do_not_certify(self, monkeypatch):
+        """Round 2's supply rests on an inner window side, so round 3 is the full program."""
+        rounds = []
+        real = planner.concavify_reward
+        monkeypatch.setattr(planner, "concavify_reward", lambda d, a, lo, hi, stride=1: (
+            rounds.append((lo, hi, stride)) or real(d, a, lo, hi, stride)))
+        sc = Scenario(T=24, N=70, s=2, delta=4, beta=2, d_max=1.4, a=2.0, c_veh=70)
+        result = plan(sc)
+        assert result.nodes == 3
+        assert [(np.shape(lo), np.shape(hi), stride) for lo, hi, stride in rounds] == [
+            ((), (), 2), ((24,), (24,), 1), ((), (), 1)]
+        assert rounds[0][:2] == rounds[2][:2] == (0, 70)
+        lo, hi = rounds[1][:2]
+        assert np.all((0 <= lo) & (lo < hi) & (hi <= 70)) and np.any((lo > 0) | (hi < 70))
+        full = milp_solve(build_reward_mip(sc)).values[: sc.T].astype(np.int64)
+        assert result.true_reward == pytest.approx(total_reward(ShiftPlan(x=full), sc), rel=1e-9)
 
     def test_envelopes_built_through_planner_attributes(self, monkeypatch):
         """A wrapper installed on `shiftopt.planner` sees one call per LP round,
