@@ -47,6 +47,7 @@ _COUNT_BOUNDS = (("T", 1, 2**20), ("N", 0, 2**31 - 1), ("s", 1, 2**31 - 1),
                  ("beta", 0, 2**31 - 1), ("c_veh", 0, 2**31 - 1))
 # the largest desired supply whose square, which the baseline program takes, is finite
 DESIRED_MAX = math.sqrt(np.finfo(float).max)
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -261,12 +262,13 @@ def supply_curve(plan: ShiftPlan, scenario: Scenario) -> SupplyCurve:
     if len(plan) != scenario.T:
         raise ValueError(f"plan length {len(plan)} != T={scenario.T}")
     X = np.concatenate([[0], np.cumsum(plan.x)])  # wraps where a sum passes 2**63 - 1
+    wrapped = (X[1:] < plan.x).any()
 
     def window_sum(width: int) -> np.ndarray:
         j, n = window_ends(scenario, width)
         last = X[1:] - X[j] + (n > n[-1]) * X[-1]  # the last (width mod T) starts
         whole = int(n[-1]) * int(X[-1])  # q full sums: n = q at t = T, q + 1 where j wraps
-        if np.any(X[1:] < plan.x) or whole + int(last.max()) > np.iinfo(np.int64).max:
+        if wrapped or whole + int(last.max()) > _INT64_MAX:
             raise ValueError("the plan's total or a window sum does not fit in int64")
         return last + whole
 

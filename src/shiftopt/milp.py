@@ -15,16 +15,19 @@ A cold solve starts HiGHS's dual simplex from the basis the model names in
 model's builder knows its structure and can start each row near its optimal
 price (Maros & Mitra 1998, INFORMS J. Computing 10(2)); a model without
 `basic` starts from the all-slack basis. Where the LP has several optima the
-one HiGHS reaches depends on the start. A model may be re-solved with new
-costs: `lp_solve` given a `HotStart` keeps the HiGHS model of each LP it
-solves, and an LP whose rows and column bounds equal the last one's changes
-only the costs and runs HiGHS's dual simplex again from the last optimal
-basis (Huangfu & Hall 2018, Math. Prog. Comp. 10(1)).
+one HiGHS reaches depends on the start. Each thread keeps one HiGHS object,
+cleared before each cold solve, so that its options are set once. A model may
+be re-solved with new costs: `lp_solve` given a `HotStart` solves on that
+object's own HiGHS object and keeps its model, and an LP whose rows and column
+bounds equal the last one's changes only the costs and runs HiGHS's dual
+simplex again from the last optimal basis (Huangfu & Hall 2018, Math. Prog.
+Comp. 10(1)).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import threading
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import OptimizeResult
@@ -88,22 +91,25 @@ class MilpModel:
         n = len(self.objective)
         for name in ("objective", "lower", "upper"):
             v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != (n,) or not np.all(np.isfinite(v)):
+            if v.shape != (n,) or not np.isfinite(v).all():
                 raise ValueError(f"{name} must hold {n} finite values")
             object.__setattr__(self, name, v)
-        if np.any(self.lower > self.upper):
+        if (self.lower > self.upper).any():
             raise ValueError("inconsistent variable bounds")
         object.__setattr__(self, "is_integer", np.asarray(self.is_integer, dtype=bool))
         if self.is_integer.shape != (n,) or (self.names is not None and len(self.names) != n):
             raise ValueError("is_integer and names must have one entry per column")
-        A = csc_matrix(self.A_eq, dtype=float, copy=True)  # columns, as HiGHS takes them
-        A.sum_duplicates()  # canonical, in the copy: one sorted entry per (row, column), none zero
-        A.eliminate_zeros()  # explicit zeros and -0.0
+        A = self.A_eq
+        if not _canonical(A):  # columns, as HiGHS takes them, in a copy: the caller's A stays
+            A = csc_matrix(A, dtype=float, copy=True)
+            A.sum_duplicates()  # one sorted entry per (row, column)
+            A.eliminate_zeros()  # explicit zeros and -0.0
         b = np.asarray(self.b_eq, dtype=float)
-        if A.shape[1] != n or b.shape != (A.shape[0],) or not np.isfinite(np.r_[A.data, b]).all():
+        if (A.shape[1] != n or b.shape != (A.shape[0],) or not np.isfinite(A.data).all()
+                or not np.isfinite(b).all()):
             raise ValueError("A_eq and b_eq must be finite and match the columns")
         lo = b if self.row_lower is None else np.asarray(self.row_lower, dtype=float)
-        if lo.shape != b.shape or not np.all((lo == b) | (lo == -np.inf)):
+        if lo.shape != b.shape or not ((lo == b) | (lo == -np.inf)).all():
             raise ValueError("row_lower must equal b_eq or be -inf in each row")
         object.__setattr__(self, "A_eq", A)
         object.__setattr__(self, "b_eq", b)
@@ -114,10 +120,10 @@ class MilpModel:
                 raise ValueError("basic must have one entry per row")
             rows = np.flatnonzero(basic >= 0)
             j = basic[rows]
-            ok = np.all(basic >= -1) and np.all(j < n)
+            ok = (basic >= -1).all() and (j < n).all()
             if ok:  # one stored entry per named column, in its row: none named twice
                 k = A.indptr[j]
-                ok = np.all(A.indptr[j + 1] - k == 1) and np.array_equal(A.indices[k], rows)
+                ok = (A.indptr[j + 1] - k == 1).all() and (A.indices[k] == rows).all()
             if not ok:
                 raise ValueError("basic must name -1 or a distinct column per row, whose one "
                                  "entry is nonzero and lies in that row")
@@ -126,6 +132,20 @@ class MilpModel:
     @property
     def n_vars(self) -> int:
         return len(self.objective)
+
+
+def _canonical(A) -> bool:
+    """Whether A is a float CSC matrix that stores in each column only nonzeros, at strictly
+    rising rows within its shape: the form HiGHS takes and `HotStart.holds` compares."""
+    if not isinstance(A, csc_matrix) or A.dtype != np.float64:
+        return False
+    (m, n), ptr, rows = A.shape, A.indptr, A.indices
+    counts = np.diff(ptr)
+    if not (len(ptr) == n + 1 and ptr[0] == 0 and ptr[-1] == len(rows) == len(A.data)
+            and (counts >= 0).all() and (not len(rows) or 0 <= rows.min() <= rows.max() < m)):
+        return False
+    return bool((np.diff(np.repeat(np.arange(n) * m, counts) + rows) > 0).all()
+                and A.data.all())
 
 
 @dataclass(frozen=True)
@@ -137,13 +157,14 @@ class MilpSolution:
 
 
 class HotStart:
-    """The last model that `lp_solve` solved optimally through this object, with its HiGHS
-    model. The next LP reuses that HiGHS model where only its costs differ. An instance belongs
-    to one thread and must never be shared: two threads would run one HiGHS model at once."""
+    """The last model that `lp_solve` solved optimally through this object, and its own HiGHS
+    object, which holds that model. The next LP reuses that HiGHS model where only its costs
+    differ, and any other LP clears it. An instance belongs to one thread and must never be
+    shared: two threads would run one HiGHS model at once."""
 
     def __init__(self):
         self.model: MilpModel | None = None
-        self.highs = None
+        self.highs = _new_highs()
 
     def holds(self, model: MilpModel) -> bool:
         """Whether model has the last model's rows, right-hand sides and column bounds."""
@@ -156,24 +177,50 @@ def _rows_and_bounds(model: MilpModel) -> tuple:
     return A.indptr, A.indices, A.data, model.b_eq, model.row_lower, model.lower, model.upper
 
 
-def linprog(c, *, A_eq, b_eq, row_lower, lower, upper, basic=None, highs=None):
+def _new_highs():
+    """A HiGHS object with HIGHS_OPTIONS (RuntimeError naming an option HiGHS rejects)."""
+    highs = _Highs()
+    for option, value in HIGHS_OPTIONS:  # a rejected option returns kError, and raises nothing
+        if highs.setOptionValue(option, value) != HighsStatus.kOk:
+            raise RuntimeError(f"HiGHS rejected option {option} = {value!r}")
+    return highs
+
+
+_thread = threading.local()
+# a thread keeps its HiGHS object after an LP of at most this many nonzeros: an object holds on
+# to the memory of the largest model it solved (about 200 bytes per nonzero), and a new one
+# costs about 60 µs, about 1% of the solve of a larger LP
+_KEEP_NNZ = 2**12
+
+
+def _thread_highs():
+    """This thread's HiGHS object for cold solves, made anew where it was dropped (see
+    _KEEP_NNZ) or `_Highs` or HIGHS_OPTIONS has been rebound since it was made. No other thread
+    and no HotStart holds it."""
+    made = getattr(_thread, "made", None)
+    if made is None or made[:2] != (_Highs, HIGHS_OPTIONS):
+        made = _thread.made = (_Highs, HIGHS_OPTIONS, _new_highs())
+    return made[2]
+
+
+def linprog(c, *, A_eq, b_eq, row_lower, lower, upper, basic=None, highs=None, spare=None):
     """min c·v  s.t.  row_lower <= A_eq v <= b_eq, lower <= v <= upper by HiGHS's dual simplex
-    with HIGHS_OPTIONS (RuntimeError naming an option HiGHS rejects): HiGHS's model `status`,
-    optimum `x` and `fun` (None unless optimal), iterations `nit` and the HiGHS model `highs`.
-    A new model starts from `basic`, a valid `MilpModel.basic` (RuntimeError if HiGHS rejects
-    it; all-slack if None), with every column it does not name nonbasic at its lower bound, which
-    HiGHS moves to the dual-feasible bound of a boxed one. Given `highs`, a former result's model
-    of an LP with these rows and bounds, `basic` is ignored: only the costs change and HiGHS
-    runs again from its last optimal basis. Its name, `c` first, `A_eq` by keyword and `nit` are
-    what the benchmark's `milp.highs` layer wraps and reads."""
+    with HIGHS_OPTIONS: HiGHS's model `status`, optimum `x` and `fun` (None unless optimal) and
+    iterations `nit`. A new model goes into `spare`, a HiGHS object from `_new_highs`, or where
+    None into this thread's own (see _KEEP_NNZ), cleared first. It starts from `basic`, a valid
+    `MilpModel.basic` (RuntimeError if HiGHS rejects it; all-slack if None), with every column
+    it does not name nonbasic at its lower bound, which HiGHS moves to the dual-feasible bound
+    of a boxed one. Given `highs`, the HiGHS object of a former LP with these rows and bounds,
+    `basic` and `spare` are ignored: only the costs change and HiGHS runs again from its last
+    optimal basis. Its name, `c` first, `A_eq` by keyword and `nit` are what the benchmark's
+    `milp.highs` layer wraps and reads."""
     m, n = A_eq.shape
+    drop = highs is None and spare is None and A_eq.nnz > _KEEP_NNZ
     if highs is not None:
         loaded = highs.changeColsCost(n, np.arange(n, dtype=np.int32), c) != HighsStatus.kError
     else:
-        highs = _Highs()
-        for option, value in HIGHS_OPTIONS:  # a rejected option returns kError, and raises nothing
-            if highs.setOptionValue(option, value) != HighsStatus.kOk:
-                raise RuntimeError(f"HiGHS rejected option {option} = {value!r}")
+        highs = _thread_highs() if spare is None else spare
+        highs.clearModel()  # keeps the options, drops the last model, basis and solution
         # columns, rows, nonzeros, format, sense, offset, costs, column and row bounds, CSC
         # arrays (canonical, from MilpModel) and integrality (continuous), read as buffers
         loaded = highs.passModel(n, m, A_eq.nnz, MatrixFormat.kColwise, ObjSense.kMinimize, 0.0,
@@ -182,8 +229,10 @@ def linprog(c, *, A_eq, b_eq, row_lower, lower, upper, basic=None, highs=None):
         if loaded and basic is not None:
             named = np.flatnonzero(basic >= 0)
             cols, rows = [HighsBasisStatus.kLower] * n, [HighsBasisStatus.kBasic] * m
-            for i, j in zip(named.tolist(), basic[named].tolist()):
-                cols[j], rows[i] = HighsBasisStatus.kBasic, HighsBasisStatus.kLower
+            for j in basic[named].tolist():
+                cols[j] = HighsBasisStatus.kBasic
+            for i in named.tolist():
+                rows[i] = HighsBasisStatus.kLower
             start = HighsBasis()
             start.col_status, start.row_status = cols, rows
             start.valid, start.alien = True, False  # exactly m basic: HiGHS takes it as it is
@@ -193,9 +242,11 @@ def linprog(c, *, A_eq, b_eq, row_lower, lower, upper, basic=None, highs=None):
         highs.run()
     status = highs.getModelStatus() if loaded else HighsModelStatus.kModelError
     optimal, info = status == HighsModelStatus.kOptimal, highs.getInfo()
-    return OptimizeResult(status=status, nit=max(info.simplex_iteration_count, 0),
-                          x=np.array(highs.getSolution().col_value) if optimal else None,
-                          fun=info.objective_function_value if optimal else None, highs=highs)
+    x = np.array(highs.getSolution().col_value, dtype=float) if optimal else None
+    if drop:
+        _thread.made = None
+    return OptimizeResult(status=status, nit=max(info.simplex_iteration_count, 0), x=x,
+                          fun=info.objective_function_value if optimal else None)
 
 
 def lp_solve(model: MilpModel, hot: HotStart | None = None) -> MilpSolution:
@@ -204,15 +255,18 @@ def lp_solve(model: MilpModel, hot: HotStart | None = None) -> MilpSolution:
     HiGHS model of its last LP is re-solved where `hot.holds(model)`, and is then replaced
     by this LP's."""
     reuse = hot is not None and hot.holds(model)
+    if hot is not None:  # until this LP is solved: a cold solve clears hot.highs
+        hot.model = None
     res = linprog(-COST_SCALE * model.objective, A_eq=model.A_eq, b_eq=model.b_eq,
                   row_lower=model.row_lower, lower=model.lower, upper=model.upper,
-                  basic=model.basic, highs=hot.highs if reuse else None)
+                  basic=model.basic, highs=hot.highs if reuse else None,
+                  spare=None if hot is None else hot.highs)
     if res.status in (HighsModelStatus.kInfeasible, HighsModelStatus.kModelError):
         raise PlanningError("no plan: solver status infeasible")
     if res.status != HighsModelStatus.kOptimal:
         raise RuntimeError(f"LP backend failed: HiGHS model status {res.status.name}")
     if hot is not None:
-        hot.model, hot.highs = model, res.highs
+        hot.model = model
     return MilpSolution(values=res.x, objective=model.constant - res.fun / COST_SCALE,
                         nodes_explored=1, iterations=res.nit)
 
@@ -234,7 +288,8 @@ def milp_solve(model: MilpModel, hot: HotStart | None = None) -> MilpSolution:
             f"LP optimum is not integral: column {j} = {sol.values[j]:.9g}; "
             "the model is not totally unimodular with integral data"
         )
-    return replace(sol, values=values, objective=float(model.objective @ values) + model.constant)
+    return MilpSolution(values=values, objective=float(model.objective @ values) + model.constant,
+                        nodes_explored=sol.nodes_explored, iterations=sol.iterations)
 
 
 def _interleave(*columns: list) -> tuple:

@@ -54,7 +54,8 @@ class Envelopes:
 
     def widths(self) -> np.ndarray:
         """Integer supply range spanned by each piece."""
-        begins = np.roll(self.ends, 1)
+        begins = np.empty_like(self.ends)
+        begins[1:] = self.ends[:-1]
         begins[self._first()] = self.start
         return self.ends - begins
 
@@ -64,13 +65,14 @@ class Envelopes:
         return (np.minimum if self.sign > 0 else np.maximum).reduceat(lines, self._first())
 
 
-def _run_starts(slopes: list[float]) -> list[int]:
-    """Index of the first chord of each run; a chord joins the current run
-    while its slope is within _SLOPE_MERGE_TOL of the run's first slope."""
-    starts = [0]
-    for i, slope in enumerate(slopes):
-        if abs(slope - slopes[starts[-1]]) >= _SLOPE_MERGE_TOL:
+def _run_starts(steps: list[int], slopes: list[float]) -> list[int]:
+    """Index of the first chord of each run; a chord joins the current run while it has the
+    run's step and its slope is within _SLOPE_MERGE_TOL of the run's first slope."""
+    starts, run_step, run_slope = [], None, 0.0
+    for i, (step, slope) in enumerate(zip(steps, slopes)):
+        if step != run_step or abs(slope - run_slope) >= _SLOPE_MERGE_TOL:
             starts.append(i)
+            run_step, run_slope = step, slope
     return starts
 
 
@@ -97,19 +99,19 @@ def _chords(b: np.ndarray, step: np.ndarray, values: np.ndarray, sign: int) -> E
     # consecutive chords of a step with slopes out of order or within the tolerance
     close = ((slopes[1:] - slopes[:-1]) * -sign < _SLOPE_MERGE_TOL) & (
         chord_step[1:] == chord_step[:-1])
-    if close.any():
-        keep = np.ones(len(j), dtype=bool)
-        for t in np.unique(chord_step[1:][close]).tolist():
-            at = slice(first[t] - t, last[t] - t)
-            keep[at] = False
-            keep[at][_run_starts(slopes[at].tolist())] = True
+    if close.any():  # every chord of such a step, in runs
+        merged = np.zeros(len(first), dtype=bool)
+        merged[chord_step[1:][close]] = True
+        keep = ~merged[chord_step]
+        at = np.flatnonzero(~keep)
+        keep[at[_run_starts(chord_step[at].tolist(), slopes[at].tolist())]] = True
         j, chord_step = j[keep], chord_step[keep]
     # a piece runs from breakpoint j to the next piece's, or to its step's last, and
     # its slope is that of the chord through its ends; a piece whose slope rounding
     # left out of order with its predecessor's is pooled with it, until none is
     while True:
         step_end = np.append(chord_step[1:] != chord_step[:-1], True)
-        e = np.where(step_end, last[chord_step], np.roll(j, -1))
+        e = np.where(step_end, last[chord_step], np.append(j[1:], 0))
         starts, ends = b[j], b[e]
         slopes = (values[e] - values[j]) / (ends - starts)
         keep = np.append(True, (np.diff(slopes) * sign < 0) | step_end[:-1])

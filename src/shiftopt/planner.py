@@ -35,8 +35,8 @@ from .domain import (
     ShiftPlan,
     SupplyCurve,
     demand_vector,
+    reward_vector,
     supply_curve,
-    total_reward,
     window_ends,
 )
 from .milp import HotStart, MilpModel, PlanningError, milp_solve  # noqa: F401 (plan raises it)
@@ -75,30 +75,51 @@ def _segment_model(scenario: Scenario, env: Envelopes) -> MilpModel:
     is lo_t plus its segments, whose widths stop at min(c_veh, N) >= lo_t."""
     T, N, total = scenario.T, scenario.N, scenario.total_shifts
     widths = env.widths()
-    n_seg, t = len(widths), np.arange(T)
-    # (rows, columns) of the entries +1, X_t in each row t, and of the entries -1
-    plus = [(t, T + t), (T + t, T + t), (2 * T + t, T + t), ([3 * T], [2 * T - 1])]
-    minus = [(t[1:], T - 1 + t[1:]), (t, t), (T + env.step, 2 * T + np.arange(n_seg))]
+    n_seg, t, m = len(widths), np.arange(T), 3 * T + 1
+    # (rows, columns among the X) of X_t's entries +1 in link, supply and cap row t and in the
+    # total row, and -1 in link row t + 1 and in each window row that starts after X_t
+    rows, cols = [t, T + t, 2 * T + t, [3 * T], t[1:]], [t, t, t, [T - 1], t[:-1]]
     b_eq = [np.zeros(T)]
     for first, width, lo in ((T, scenario.delta, env.start),
                              (2 * T, scenario.delta + scenario.beta, N)):
         j, n = window_ends(scenario, width)
-        minus.append((first + t[j > 0], T - 1 + j[j > 0]))
+        rows.append(first + t[j > 0])
+        cols.append(j[j > 0] - 1)
         b_eq.append(lo - n * float(total))
-    rows, cols = (np.concatenate(side) for side in zip(*plus, *minus))
-    data = np.repeat([1.0, -1.0], [3 * T + 1, len(rows) - 3 * T - 1])
-    # MilpModel drops the entry 0 of X_t - X_t, where a circular width is a multiple of T
-    A_eq = sparse.csc_matrix((data, (rows, cols)), shape=(3 * T + 1, 2 * T + n_seg))
+    # X's entries in canonical CSC order, by column * m + row: duplicates added and zeros
+    # dropped (the X_t - X_t of a circular width that is a multiple of T)
+    key = np.concatenate(cols) * m + np.concatenate(rows)
+    order = np.argsort(key)
+    key = key[order]
+    head = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    value = np.add.reduceat(np.where(order < 3 * T + 1, 1.0, -1.0), head)
+    col, row = np.divmod(key[head][value != 0], m)
+    # x_t's one entry -1 lies in link row t, and segment k's in supply row step[k]; 32-bit
+    # indices, as scipy would choose them, while the entries' count fits
+    index = np.int32 if T + len(row) + n_seg < 2**31 else np.int64
+    A_eq = sparse.csc_matrix((
+        np.concatenate([np.full(T, -1.0), value[value != 0], np.full(n_seg, -1.0)]),
+        np.concatenate([t, row, T + env.step], dtype=index),
+        np.concatenate([t, T + np.searchsorted(col, t), T + len(row) + np.arange(n_seg + 1)],
+                       dtype=index),
+    ), shape=(m, 2 * T + n_seg))
     b_eq = np.concatenate(b_eq + [[total]])
     gains = env.sign * env.slopes
     u_upper = np.clip(min(scenario.c_veh, N) - (env.ends - widths), 0, widths)
     # the start basis: x_t in link row t and, in supply row t, the piece of step t where a greedy
     # fill of the working time by falling gain stops (the shift-agnostic optimum over these
     # pieces, where only sum_t y_t = sN delta binds; gains fall within a step, so it takes a
-    # prefix of each); the cap rows and the total row keep their slacks
-    order = np.argsort(-gains, kind="stable")
-    inside = np.empty(n_seg, dtype=bool)
-    inside[order] = np.cumsum(u_upper[order]) <= scenario.working_time - env.start.sum()
+    # prefix of each); the cap rows and the total row keep their slacks. Pieces of equal gain
+    # fill in index order: every piece above the gain where a fill in any falling order stops,
+    # then that gain's pieces while they fit
+    budget = scenario.working_time - env.start.sum()
+    order = np.argsort(-gains)
+    stop = np.searchsorted(np.cumsum(u_upper[order]), budget, side="right")
+    inside = np.ones(n_seg, dtype=bool)
+    if stop < n_seg:
+        inside = gains > gains[order[stop]]
+        tie = np.flatnonzero(gains == gains[order[stop]])
+        inside[tie] = u_upper[inside].sum() + np.cumsum(u_upper[tie]) <= budget
     count, taken = np.bincount(env.step, minlength=T), np.bincount(env.step[inside], minlength=T)
     basic = np.full(3 * T + 1, -1)
     basic[:T], basic[T : 2 * T] = t, 2 * T + np.cumsum(count) - count + np.minimum(taken, count - 1)
@@ -182,11 +203,12 @@ def _solve(scenario: Scenario, envelopes: Callable[..., Envelopes], *params,
         else:
             break
     plan_vec = ShiftPlan(x=sol.values[:T].astype(np.int64))
+    supply = supply_curve(plan_vec, scenario)
     return PlanResult(
         plan=plan_vec,
-        supply=supply_curve(plan_vec, scenario),
+        supply=supply,
         mip_objective=sum(env.evaluate(y).tolist()),
-        true_reward=total_reward(plan_vec, scenario),
+        true_reward=sum(reward_vector(supply.y, demand_vector(scenario), scenario.a).tolist()),
         nodes=rounds,
     )
 

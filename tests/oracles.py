@@ -2,8 +2,9 @@
 brute-force plan enumeration, random feasible-plan sampling, a minimal
 CPLEX-LP-format reader, the quadratic scan that defines greedy rostering,
 chord envelopes built one step at a time, the segment model in window form
-built block by block, demand and reward computed one step at a time, and
-the LP file rendered one term at a time."""
+built block by block, its matrix over cumulative starts built by scipy from
+one row at a time, demand and reward computed one step at a time, and the
+LP file rendered one term at a time."""
 
 from __future__ import annotations
 
@@ -173,6 +174,40 @@ def segment_matrix_by_blocks(scenario: Scenario, env: Envelopes) -> sparse.csc_m
         ],
         format="csr",
     ).tocsc()
+
+
+def segment_matrix_by_coo(scenario: Scenario, env: Envelopes) -> sparse.csc_matrix:
+    """The segment model's A_eq over columns x, X, u, from (row, column, value) lists
+    written one row at a time and turned into canonical CSC by scipy. Link row t holds
+    X_t - X_{t-1} - x_t; supply row t the window of delta as X_t - X_j, minus step t's
+    segments; cap row t the window of delta + beta as X_t - X_j; the last row X_T. A window
+    of width w = qT + r ends at t after X_j: zero-padded j = max(t - w, 0), circular
+    j = t - r, plus T where that is negative. X_0 = 0 has no column, and X_t - X_t sums to
+    an entry 0, which scipy drops."""
+    T = scenario.T
+    entries = []
+    for t in range(1, T + 1):
+        entries += [(t - 1, T + t - 1, 1.0), (t - 1, t - 1, -1.0)]
+        if t > 1:
+            entries.append((t - 1, T + t - 2, -1.0))
+    for first, width in ((T, scenario.delta), (2 * T, scenario.delta + scenario.beta)):
+        for t in range(1, T + 1):
+            if scenario.boundary is Boundary.CIRCULAR:
+                j = t - width % T
+                j += T if j < 0 else 0
+            else:
+                j = max(t - width, 0)
+            entries.append((first + t - 1, T + t - 1, 1.0))
+            if j > 0:
+                entries.append((first + t - 1, T + j - 1, -1.0))
+    entries += [(T + int(step), 2 * T + k, -1.0) for k, step in enumerate(env.step.tolist())]
+    entries.append((3 * T, 2 * T - 1, 1.0))
+    rows, cols, values = zip(*entries)
+    A = sparse.coo_matrix((values, (rows, cols)), shape=(3 * T + 1, 2 * T + len(env.step)))
+    A = A.tocsc()
+    A.sum_duplicates()
+    A.eliminate_zeros()
+    return A
 
 
 def window_form_model(scenario: Scenario, env: Envelopes) -> MilpModel:

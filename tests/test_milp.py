@@ -2,6 +2,7 @@ import importlib.util
 import itertools
 import math
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from scipy.optimize._highspy._core import (HighsBasis, HighsBasisStatus, HighsLp
 
 from shiftopt import (
     Boundary,
+    Envelopes,
     MilpModel,
     PlanningError,
     Scenario,
@@ -138,6 +140,35 @@ class TestLpSolve:
                       is_integer=np.zeros(3, bool), A_eq=A, b_eq=[1.0])
         assert A.data.tolist() == [1.0, 0.0, 2.0] and A.indptr.tolist() == [0, 1, 2, 3]
         assert m.A_eq.data.tolist() == [1.0, 2.0] and m.A_eq.indptr.tolist() == [0, 1, 1, 2]
+
+    def test_canonical_matrix_kept_as_it_is(self):
+        A = sparse.csc_matrix(([1.0, -1.0, 2.0], [0, 1, 1], [0, 2, 2, 3]), shape=(2, 3))
+        m = replace(simple_model(), objective=np.ones(3), lower=np.zeros(3), upper=np.ones(3),
+                    is_integer=np.zeros(3, bool), A_eq=A, b_eq=[1.0, 1.0], row_lower=None)
+        assert m.A_eq is A
+
+    @pytest.mark.parametrize("A", [
+        pytest.param(sparse.csc_matrix(([1.0, 2.0], [1, 0], [0, 2, 2])), id="falling-rows"),
+        pytest.param(sparse.csc_matrix(([1.0, 2.0], [1, 1], [0, 2, 2])), id="duplicate"),
+        pytest.param(sparse.csc_matrix(([1.0, -0.0], [0, 1], [0, 1, 2])), id="stored-zero"),
+        pytest.param(sparse.csc_matrix(([1, 2], [0, 1], [0, 1, 2])), id="integers"),
+        pytest.param(sparse.csr_matrix(([1.0, 2.0], [0, 1], [0, 1, 2])), id="rows"),
+        pytest.param(np.array([[1.0, 0.0], [0.0, 2.0]]), id="dense"),
+    ])
+    def test_other_matrices_copied_into_canonical_form(self, A):
+        """The model checks the form itself: a flag that claims it is not trusted."""
+        if sparse.issparse(A):
+            A.has_canonical_format = True
+        before = [a.copy() for a in (A.data, A.indices, A.indptr)] if sparse.issparse(A) else None
+        m = MilpModel(objective=np.ones(2), lower=np.zeros(2), upper=np.ones(2),
+                      is_integer=np.zeros(2, bool), A_eq=A, b_eq=[1.0, 1.0])
+        want = sparse.csc_matrix(A.toarray() if sparse.issparse(A) else A, dtype=float)
+        assert m.A_eq is not A and type(m.A_eq) is sparse.csc_matrix
+        assert np.array_equal(m.A_eq.indptr, want.indptr)
+        assert np.array_equal(m.A_eq.indices, want.indices)
+        assert np.array_equal(m.A_eq.data, want.data) and m.A_eq.data.dtype == np.float64
+        if before is not None:
+            assert all(map(np.array_equal, before, (A.data, A.indices, A.indptr)))
 
     def test_unbounded(self):
         # every column must be bounded, so no model is unbounded
@@ -338,6 +369,59 @@ class TestHighsBackends:
             model([1.0], [0.0], [1.0], A_eq=[[1.0]], b_eq=[bad])
 
 
+class TestHighsObjects:
+    """A cold LP goes into this thread's one HiGHS object, cleared first, and an LP under a
+    HotStart into that HotStart's own."""
+
+    def test_one_object_per_thread(self):
+        mine = milp._thread_highs()
+        assert milp._thread_highs() is mine and milp.HotStart().highs is not mine
+        theirs = []
+        helper = threading.Thread(target=lambda: theirs.append(milp._thread_highs()))
+        helper.start()
+        helper.join()
+        assert theirs[0] is not mine
+
+    def test_repeated_cold_solve_takes_the_same_iterations(self):
+        # a basis left from the last LP would re-solve the same LP in 0 iterations
+        models = _segment_models(lambda: plan(Scenario(T=48, N=120, s=2, delta=6, beta=4,
+                                                       d_max=120.0, a=2.0, c_veh=100)))
+        mine = milp._thread_highs()
+        assert max(m.A_eq.nnz for m in models) <= milp._KEEP_NNZ
+        for model in models + models:
+            assert lp_solve(model).iterations == _reference_solve(model).nit > 0
+        assert milp._thread_highs() is mine
+
+    def test_object_of_a_large_lp_dropped(self):
+        """A thread does not hold on to the memory of an LP over _KEEP_NNZ nonzeros."""
+        sc = Scenario(T=168, N=40, s=5, delta=8, beta=8, d_max=40.0, a=2.0, c_veh=40)
+        model = build_reward_mip(sc)
+        assert model.A_eq.nnz > milp._KEEP_NNZ
+        mine = milp._thread_highs()
+        sol = lp_solve(model)
+        assert milp._thread_highs() is not mine
+        assert sol.iterations == _reference_solve(model).nit
+
+    def test_cold_solve_between_hot_ones(self):
+        """A cold LP between two LPs of one HotStart leaves its model as it was: the second
+        still re-solves hot, with the iterations and optimum of a run without the cold LP."""
+        sc = Scenario(T=24, N=6, s=2, delta=4, beta=2, d_max=8.0, a=1.5, c_veh=5)
+        models = [_segment_models(lambda: plan_baseline(sc, desired))[0] for desired in (
+            service_standard_supply(sc, 0.8), economic_standard_supply(sc, 1.0))]
+        cold = _segment_models(lambda: plan(sc))[0]
+
+        def run(between):
+            hot, out = milp.HotStart(), []
+            for k, model in enumerate(models):
+                assert hot.holds(model) == (k > 0)
+                out.append(lp_solve(model, hot))
+                if between:
+                    assert lp_solve(cold).iterations == _reference_solve(cold).nit
+            return [(sol.values.tolist(), sol.objective, sol.iterations) for sol in out]
+
+        assert run(True) == run(False)
+
+
 _BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
@@ -376,6 +460,29 @@ def _greedy_start(scenario, env):
         taken[step] += 1
     return (list(range(T)) + [cols[min(n, len(cols) - 1)] for cols, n in zip(columns, taken)]
             + [-1] * (T + 1))
+
+
+@st.composite
+def _tied_envelopes(draw):
+    """A scenario and envelopes whose gains take four values, so that many pieces tie, and
+    the greedy fill often stops inside a tie: 1-6 pieces per step, of widths 1-3 from a start
+    of 0-2, with falling gains (rising slopes where sign = -1)."""
+    T, sign = draw(st.integers(1, 8)), draw(st.sampled_from([1, -1]))
+    step, ends, gains, start = [], [], [], []
+    for t in range(T):
+        k, lo = draw(st.integers(1, 6)), draw(st.integers(0, 2))
+        step += [t] * k
+        ends += (lo + np.cumsum(draw(st.lists(st.integers(1, 3), min_size=k, max_size=k)))).tolist()
+        gains += sorted(draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 2.0]), min_size=k,
+                                      max_size=k)), reverse=True)
+        start.append(lo)
+    env = Envelopes(step=np.array(step), ends=np.array(ends), slopes=sign * np.array(gains),
+                    intercepts=np.zeros(len(step)), start=np.array(start),
+                    start_value=np.zeros(T), sign=sign)
+    sc = Scenario(T=T, N=draw(st.integers(1, 12)), s=draw(st.integers(1, 3)),
+                  delta=draw(st.integers(1, T)), beta=0, d_max=1.0, a=1.0,
+                  c_veh=draw(st.integers(0, 14)))
+    return sc, env
 
 
 class TestStartBasis:
@@ -433,6 +540,12 @@ class TestStartBasis:
         # the fill stops at different pieces in different steps
         firsts = 2 * sc.T + np.searchsorted(env.step, range(sc.T))
         assert len(set((m.basic[sc.T : 2 * sc.T] - firsts).tolist())) > 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=_tied_envelopes())
+    def test_equal_gains_fill_in_index_order(self, drawn):
+        sc, env = drawn
+        assert planner._segment_model(sc, env).basic.tolist() == _greedy_start(sc, env)
 
     def test_basis_highs_rejects_raises(self, monkeypatch):
         class Rejecting(_Highs):

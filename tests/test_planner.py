@@ -36,6 +36,7 @@ from oracles import (
     best_plan_by_enumeration,
     best_reward_by_array_enumeration,
     parse_lp,
+    segment_matrix_by_coo,
     solve_parsed_lp,
     total_reward_by_loop,
     window_form_model,
@@ -198,6 +199,37 @@ class TestSegmentMatrix:
         assert max(nnz) == nnz[0] <= 7 * 12 + n_seg and nnz[1] == nnz[2]
         if boundary is Boundary.CIRCULAR:  # no width here is a multiple of T
             assert nnz[0] == nnz[1]
+
+    @settings(max_examples=80, deadline=None)
+    @given(T=st.integers(1, 14), delta=st.integers(1, 14), beta=st.integers(0, 30),
+           multiple=st.sampled_from([None, 1, 2]), N=st.integers(0, 6), c_veh=st.integers(0, 8),
+           boundary=st.sampled_from(list(Boundary)), seed=st.integers(0, 99),
+           kind=st.sampled_from(["full", "coarse", "windowed", "deviation"]))
+    def test_canonical_arrays_equal_scipy_from_coo(self, T, delta, beta, multiple, N, c_veh,
+                                                   boundary, kind, seed):
+        """A_eq's CSC arrays, built directly and kept by MilpModel without a copy, are those
+        scipy makes from the entries one row at a time: delta + beta = T or 2T (circular:
+        X_t - X_t cancels), windows reaching before step 1, and windowed envelopes."""
+        delta = min(delta, T)
+        beta = beta if multiple is None else multiple * T - delta
+        sc = Scenario(T=T, N=N, s=1, delta=delta, beta=beta, d_max=3.0, a=1.5, c_veh=c_veh,
+                      boundary=boundary)
+        rng = np.random.default_rng(seed)
+        d, y_max = rng.uniform(0, 4, T), max(1, min(N, c_veh))
+        lo = rng.integers(0, y_max, T)
+        env = {"full": lambda: concavify_reward(d, sc.a, 0, y_max),
+               "coarse": lambda: concavify_reward(d, sc.a, 0, y_max, 2),
+               "windowed": lambda: concavify_reward(d, sc.a, lo, lo + rng.integers(1, 4, T)),
+               "deviation": lambda: convexify_sq_dev(d, lo, y_max + 2)}[kind]()
+        built = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(planner, "MilpModel",
+                          lambda **kw: built.append(kw["A_eq"]) or milp.MilpModel(**kw))
+            A = planner._segment_model(sc, env).A_eq
+        want = segment_matrix_by_coo(sc, env)
+        assert A is built[0] and A.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(A, name), getattr(want, name)), name
 
     def test_zero_padded_window_of_2_20_steps(self):
         """T = delta = 2**20 builds without materialising a T x T window."""
@@ -502,6 +534,36 @@ class TestPlanBaselines:
         desired = [service_standard_supply(sc, 0.8), economic_standard_supply(sc, 1.0)]
         results = plan_baselines(sc, desired)
         assert all(new) and len(new) == sum(r.nodes for r in results) >= 4
+
+    def test_cold_plans_between_hot_baselines(self, monkeypatch):
+        """A cold plan after each baseline LP, on the same thread, leaves the baselines'
+        HotStart as it was: the same results and HiGHS iterations as without them."""
+        sc = small_scenario()
+        desired = [np.full(sc.T, 1.0), np.full(sc.T, 2.5), np.full(sc.T, 0.5)]
+        other = Scenario(T=48, N=120, s=2, delta=6, beta=4, d_max=120.0, a=2.0, c_veh=100)
+        nits = []
+        real_linprog = milp.linprog
+        monkeypatch.setattr(milp, "linprog",
+                            lambda c, **kw: nits.append(real_linprog(c, **kw)) or nits[-1])
+        alone = plan_baselines(sc, desired)
+        alone_nits, want_other = [r.nit for r in nits], plan(other)
+        nits.clear()
+        between = []
+        real = planner.milp_solve
+
+        def then_a_cold_plan(model, hot=None):
+            sol = real(model, hot)
+            if hot is not None:
+                between.append(plan(other))
+            return sol
+
+        monkeypatch.setattr(planner, "milp_solve", then_a_cold_plan)
+        mixed = plan_baselines(sc, desired)
+        assert len(between) == len(desired)
+        assert [r.nit for r in nits][:: 1 + want_other.nodes] == alone_nits
+        for got, want in zip(mixed + between, alone + [want_other] * len(between)):
+            assert got.plan.x.tolist() == want.plan.x.tolist() and got.nodes == want.nodes
+            assert (got.true_reward, got.mip_objective) == (want.true_reward, want.mip_objective)
 
     def test_hot_start_cuts_compare_iterations(self, monkeypatch, tmp_path):
         """The benchmark's seed-7 compare config: hot-started baselines take under 60% of
