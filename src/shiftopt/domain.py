@@ -275,7 +275,8 @@ def supply_curve(plan: ShiftPlan, scenario: Scenario) -> SupplyCurve:
     return SupplyCurve(y=window_sum(scenario.delta), z=window_sum(scenario.delta + scenario.beta))
 
 
-def total_reward(plan: ShiftPlan, scenario: Scenario) -> float:
-    """Total rides served over the horizon, with the exact exponential reward."""
-    y = supply_curve(plan, scenario).y
+def total_reward(plan: ShiftPlan | SupplyCurve, scenario: Scenario) -> float:
+    """Total rides served over the horizon, with the exact exponential reward, by a plan or
+    by the supply curve that `supply_curve` built of it."""
+    y = (plan if isinstance(plan, SupplyCurve) else supply_curve(plan, scenario)).y
     return sum(reward_vector(y, demand_vector(scenario), scenario.a).tolist())

@@ -15,19 +15,18 @@ A cold solve starts HiGHS's dual simplex from the basis the model names in
 model's builder knows its structure and can start each row near its optimal
 price (Maros & Mitra 1998, INFORMS J. Computing 10(2)); a model without
 `basic` starts from the all-slack basis. Where the LP has several optima the
-one HiGHS reaches depends on the start. Each thread keeps one HiGHS object,
-cleared before each cold solve, so that its options are set once. A model may
-be re-solved with new costs: `lp_solve` given a `HotStart` solves on that
-object's own HiGHS object and keeps its model, and an LP whose rows and column
-bounds equal the last one's changes only the costs and runs HiGHS's dual
-simplex again from the last optimal basis (Huangfu & Hall 2018, Math. Prog.
-Comp. 10(1)).
+one HiGHS reaches depends on the start. A thread solves its cold LPs in one
+HiGHS object, cleared before each. A model may be re-solved with new costs:
+`lp_solve` given a `HotStart` keeps the HiGHS model of each LP it solves in
+that HotStart's own object, and an LP whose rows and column bounds equal the
+last one's changes only the costs and runs HiGHS's dual simplex again from the
+last optimal basis (Huangfu & Hall 2018, Math. Prog. Comp. 10(1)).
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import OptimizeResult
@@ -187,16 +186,15 @@ def _new_highs():
 
 
 _thread = threading.local()
-# a thread keeps its HiGHS object after an LP of at most this many nonzeros: an object holds on
-# to the memory of the largest model it solved (about 200 bytes per nonzero), and a new one
-# costs about 60 µs, about 1% of the solve of a larger LP
+# a cold LP of at most this many nonzeros goes into its thread's one HiGHS object, which saves
+# 0.2-0.3 ms per small-plans LP; a larger one goes into a new object, freed after the solve,
+# since an object keeps the memory of the largest model it held (about 200 bytes per nonzero)
 _KEEP_NNZ = 2**12
 
 
 def _thread_highs():
-    """This thread's HiGHS object for cold solves, made anew where it was dropped (see
-    _KEEP_NNZ) or `_Highs` or HIGHS_OPTIONS has been rebound since it was made. No other thread
-    and no HotStart holds it."""
+    """This thread's HiGHS object for cold solves, made anew where `_Highs` or HIGHS_OPTIONS
+    has been rebound since it was made. No other thread and no HotStart holds it."""
     made = getattr(_thread, "made", None)
     if made is None or made[:2] != (_Highs, HIGHS_OPTIONS):
         made = _thread.made = (_Highs, HIGHS_OPTIONS, _new_highs())
@@ -206,20 +204,21 @@ def _thread_highs():
 def linprog(c, *, A_eq, b_eq, row_lower, lower, upper, basic=None, highs=None, spare=None):
     """min c·v  s.t.  row_lower <= A_eq v <= b_eq, lower <= v <= upper by HiGHS's dual simplex
     with HIGHS_OPTIONS: HiGHS's model `status`, optimum `x` and `fun` (None unless optimal) and
-    iterations `nit`. A new model goes into `spare`, a HiGHS object from `_new_highs`, or where
-    None into this thread's own (see _KEEP_NNZ), cleared first. It starts from `basic`, a valid
-    `MilpModel.basic` (RuntimeError if HiGHS rejects it; all-slack if None), with every column
-    it does not name nonbasic at its lower bound, which HiGHS moves to the dual-feasible bound
-    of a boxed one. Given `highs`, the HiGHS object of a former LP with these rows and bounds,
-    `basic` and `spare` are ignored: only the costs change and HiGHS runs again from its last
-    optimal basis. Its name, `c` first, `A_eq` by keyword and `nit` are what the benchmark's
-    `milp.highs` layer wraps and reads."""
+    iterations `nit`. A new model goes, cleared first, into `spare`, a HiGHS object from
+    `_new_highs`, or where None into this thread's own or a new one (see _KEEP_NNZ). It starts
+    from `basic`, a valid `MilpModel.basic` (RuntimeError if HiGHS rejects it; all-slack if
+    None), with every column it does not name nonbasic at its lower bound, which HiGHS moves to
+    the dual-feasible bound of a boxed one. Given `highs`, the HiGHS object of a former LP with
+    these rows and bounds, `basic` and `spare` are ignored: only the costs change and HiGHS
+    runs again from its last optimal basis. Its name, `c` first, `A_eq` by keyword and `nit`
+    are what the benchmark's `milp.highs` layer wraps and reads."""
     m, n = A_eq.shape
-    drop = highs is None and spare is None and A_eq.nnz > _KEEP_NNZ
     if highs is not None:
         loaded = highs.changeColsCost(n, np.arange(n, dtype=np.int32), c) != HighsStatus.kError
     else:
-        highs = _thread_highs() if spare is None else spare
+        highs = spare
+        if highs is None:
+            highs = _thread_highs() if A_eq.nnz <= _KEEP_NNZ else _new_highs()
         highs.clearModel()  # keeps the options, drops the last model, basis and solution
         # columns, rows, nonzeros, format, sense, offset, costs, column and row bounds, CSC
         # arrays (canonical, from MilpModel) and integrality (continuous), read as buffers
@@ -229,10 +228,8 @@ def linprog(c, *, A_eq, b_eq, row_lower, lower, upper, basic=None, highs=None, s
         if loaded and basic is not None:
             named = np.flatnonzero(basic >= 0)
             cols, rows = [HighsBasisStatus.kLower] * n, [HighsBasisStatus.kBasic] * m
-            for j in basic[named].tolist():
-                cols[j] = HighsBasisStatus.kBasic
-            for i in named.tolist():
-                rows[i] = HighsBasisStatus.kLower
+            for i, j in zip(named.tolist(), basic[named].tolist()):
+                cols[j], rows[i] = HighsBasisStatus.kBasic, HighsBasisStatus.kLower
             start = HighsBasis()
             start.col_status, start.row_status = cols, rows
             start.valid, start.alien = True, False  # exactly m basic: HiGHS takes it as it is
@@ -242,10 +239,8 @@ def linprog(c, *, A_eq, b_eq, row_lower, lower, upper, basic=None, highs=None, s
         highs.run()
     status = highs.getModelStatus() if loaded else HighsModelStatus.kModelError
     optimal, info = status == HighsModelStatus.kOptimal, highs.getInfo()
-    x = np.array(highs.getSolution().col_value, dtype=float) if optimal else None
-    if drop:
-        _thread.made = None
-    return OptimizeResult(status=status, nit=max(info.simplex_iteration_count, 0), x=x,
+    return OptimizeResult(status=status, nit=max(info.simplex_iteration_count, 0),
+                          x=np.array(highs.getSolution().col_value) if optimal else None,
                           fun=info.objective_function_value if optimal else None)
 
 
@@ -288,8 +283,7 @@ def milp_solve(model: MilpModel, hot: HotStart | None = None) -> MilpSolution:
             f"LP optimum is not integral: column {j} = {sol.values[j]:.9g}; "
             "the model is not totally unimodular with integral data"
         )
-    return MilpSolution(values=values, objective=float(model.objective @ values) + model.constant,
-                        nodes_explored=sol.nodes_explored, iterations=sol.iterations)
+    return replace(sol, values=values, objective=float(model.objective @ values) + model.constant)
 
 
 def _interleave(*columns: list) -> tuple:

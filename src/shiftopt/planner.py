@@ -35,8 +35,8 @@ from .domain import (
     ShiftPlan,
     SupplyCurve,
     demand_vector,
-    reward_vector,
     supply_curve,
+    total_reward,
     window_ends,
 )
 from .milp import HotStart, MilpModel, PlanningError, milp_solve  # noqa: F401 (plan raises it)
@@ -208,7 +208,7 @@ def _solve(scenario: Scenario, envelopes: Callable[..., Envelopes], *params,
         plan=plan_vec,
         supply=supply,
         mip_objective=sum(env.evaluate(y).tolist()),
-        true_reward=sum(reward_vector(supply.y, demand_vector(scenario), scenario.a).tolist()),
+        true_reward=total_reward(supply, scenario),
         nodes=rounds,
     )
 

@@ -383,3 +383,8 @@ class TestTotalReward:
         got = total_reward(ShiftPlan(x=np.array([1, 0, 0])), sc)
         assert got == pytest.approx(2 * (1 - math.exp(-2)), abs=1e-9)
         assert got == pytest.approx(1.729329, abs=1e-6)
+
+    def test_supply_curve_in_place_of_its_plan(self):
+        sc = scenario()
+        plan = ShiftPlan(x=np.array([2, 0, 1, 0, 0, 3, 0, 1]))
+        assert total_reward(supply_curve(plan, sc), sc) == total_reward(plan, sc) > 0

@@ -392,15 +392,27 @@ class TestHighsObjects:
             assert lp_solve(model).iterations == _reference_solve(model).nit > 0
         assert milp._thread_highs() is mine
 
-    def test_object_of_a_large_lp_dropped(self):
-        """A thread does not hold on to the memory of an LP over _KEEP_NNZ nonzeros."""
-        sc = Scenario(T=168, N=40, s=5, delta=8, beta=8, d_max=40.0, a=2.0, c_veh=40)
-        model = build_reward_mip(sc)
+    def test_large_lp_kept_out_of_the_thread_object(self, monkeypatch):
+        """An LP over _KEEP_NNZ nonzeros, whose memory the thread's object would keep, goes into
+        a new object, also where its solve raises."""
+        model = build_reward_mip(Scenario(T=168, N=40, s=5, delta=8, beta=8, d_max=40.0, a=2.0,
+                                          c_veh=40))
         assert model.A_eq.nnz > milp._KEEP_NNZ
-        mine = milp._thread_highs()
-        sol = lp_solve(model)
-        assert milp._thread_highs() is not mine
-        assert sol.iterations == _reference_solve(model).nit
+
+        class Rejecting(_Highs):
+            def setBasis(self, basis):
+                return HighsStatus.kError
+
+        for highs in (_Highs, Rejecting):
+            monkeypatch.setattr(milp, "_Highs", highs)
+            lp_solve(simple_model())
+            mine = milp._thread_highs()
+            if highs is _Highs:
+                assert lp_solve(model).iterations == _reference_solve(model).nit
+            else:
+                with pytest.raises(RuntimeError, match="^HiGHS rejected the start basis$"):
+                    lp_solve(model)
+            assert milp._thread_highs() is mine and mine.getNumNz() == simple_model().A_eq.nnz
 
     def test_cold_solve_between_hot_ones(self):
         """A cold LP between two LPs of one HotStart leaves its model as it was: the second
